@@ -1,20 +1,39 @@
 """Word embedding tables: text-format loading and mean pooling.
 
-File format: one line per word, ``word v1 ... vd``, space-separated
-decimal floats. Unknown words map to the zero vector and are excluded
-from the pooling denominator when at least one token is in vocabulary;
-all-unknown texts pool to the zero vector.
+File format: UTF-8, one line per word, ``word v1 ... vd``. A single
+space separates the word and each value; repeated and trailing spaces
+are ignored, a tab is not a separator. Blank lines are skipped and CRLF
+line endings are accepted. Every row has as many values as the first,
+each read exactly as Python's ``float()`` reads it. A repeated word
+keeps its first row. Malformed rows raise :class:`ParseError` with
+their line number; a missing or unreadable file raises
+:class:`UsageError`.
+
+Loading parses the values of each block of ``BLOCK_ROWS`` lines with one
+``np.loadtxt`` call, and falls back to one ``float()`` per value for a
+block that call does not read exactly as ``float()`` would. Every load
+parses the whole file; callers that need the table more than once keep
+the loaded table.
+
+Unknown words map to the zero vector and are excluded from the pooling
+denominator when at least one token is in vocabulary; all-unknown texts
+pool to the zero vector.
 """
 
 from __future__ import annotations
 
 import hashlib
+from itertools import islice
 from typing import Iterable, Mapping
 
 import numpy as np
 
-from ..errors import ParseError
+from ..errors import ParseError, UsageError
 from ..tokenization import word_tokens
+
+BLOCK_ROWS = 4096  # rows per np.loadtxt call
+# np.loadtxt strips these around a value as whitespace; float() rejects them
+_LOADTXT_ONLY_SPACES = "\x1c\x1d\x1e\x1f"
 
 
 class EmbeddingTable:
@@ -67,34 +86,96 @@ class EmbeddingTable:
     @classmethod
     def load(cls, path) -> "EmbeddingTable":
         vocab: dict[str, int] = {}
-        rows: list[np.ndarray] = []
+        blocks: list[np.ndarray] = []
         dim = None
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                parts = line.rstrip("\n").split(" ")
-                if len(parts) < 2 or not parts[0]:
-                    if not line.strip():
+        lineno = 0
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                while lines := list(islice(fh, BLOCK_ROWS)):
+                    words, values = _parse_block(lines, lineno, dim)
+                    lineno += len(lines)
+                    if not words:
                         continue
-                    raise ParseError("expected 'word v1 ... vd'", line=lineno)
-                word = parts[0]
-                try:
-                    vec = np.array([float(x) for x in parts[1:] if x], dtype=np.float64)
-                except ValueError as e:
-                    raise ParseError(f"bad float: {e}", line=lineno) from e
-                if dim is None:
-                    dim = vec.size
-                elif vec.size != dim:
-                    raise ParseError(f"expected {dim} values, got {vec.size}", line=lineno)
-                if word in vocab:
-                    continue  # first occurrence wins
-                vocab[word] = len(rows)
-                rows.append(vec)
-        if not rows:
+                    dim = values.shape[1]
+                    keep = []
+                    for i, word in enumerate(words):
+                        if word not in vocab:  # first occurrence wins
+                            vocab[word] = len(vocab)
+                            keep.append(i)
+                    blocks.append(values if len(keep) == len(words) else values[keep])
+        except OSError as e:
+            raise UsageError(f"cannot read embeddings file {path}: {e.strerror or e}") from e
+        except UnicodeDecodeError as e:
+            line = _first_undecodable_line(path)
+            raise ParseError(f"not valid UTF-8: {e.reason}", line=line) from e
+        if not vocab:
             raise ParseError("embedding file is empty", line=1)
-        return cls(vocab, np.vstack(rows))
+        return cls(vocab, np.concatenate(blocks))
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             for word, idx in self.vocab.items():
                 values = " ".join(repr(float(x)) for x in self.matrix[idx])
                 fh.write(f"{word} {values}\n")
+
+
+def _parse_block(lines: list[str], lineno: int, dim: int | None
+                 ) -> tuple[list[str], np.ndarray]:
+    """Words and values of ``lines``, which follow line ``lineno``.
+
+    One ``np.loadtxt`` call parses the values of the whole block. When a
+    row is not plainly ``word v1 ... vd``, or the call fails or finds
+    another width, the block goes through :func:`_parse_lines`, which
+    decides what is accepted and raises the errors.
+    """
+    words, rows = [], []
+    for line in lines:
+        word, _, rest = line.partition(" ")
+        words.append(word)
+        rows.append(rest.rstrip(" \n"))
+    text = "".join(rows)
+    if all(words) and all(rows) and not any(c in text for c in _LOADTXT_ONLY_SPACES):
+        try:
+            values = np.loadtxt(rows, dtype=np.float64, delimiter=" ", comments=None,
+                                ndmin=2)
+        except ValueError:
+            pass
+        else:
+            if values.shape[0] == len(rows) and dim in (None, values.shape[1]):
+                return words, values
+    return _parse_lines(lines, lineno, dim)
+
+
+def _parse_lines(lines: list[str], lineno: int, dim: int | None
+                 ) -> tuple[list[str], np.ndarray]:
+    """Words and values of ``lines``, which follow line ``lineno``, read
+    one line and one ``float()`` per value at a time. This parser defines
+    what the file format accepts and raises every :class:`ParseError`."""
+    words, rows = [], []
+    for lineno, line in enumerate(lines, lineno + 1):
+        parts = line.rstrip("\n").split(" ")
+        if len(parts) < 2 or not parts[0]:
+            if not line.strip():
+                continue
+            raise ParseError("expected 'word v1 ... vd'", line=lineno)
+        try:
+            vec = [float(x) for x in parts[1:] if x]
+        except ValueError as e:
+            raise ParseError(f"bad float: {e}", line=lineno) from e
+        if dim is None:
+            dim = len(vec)
+        elif len(vec) != dim:
+            raise ParseError(f"expected {dim} values, got {len(vec)}", line=lineno)
+        words.append(parts[0])
+        rows.append(vec)
+    return words, np.array(rows, dtype=np.float64).reshape(len(rows), dim or 0)
+
+
+def _first_undecodable_line(path) -> int:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, 1):
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError:
+                return lineno
+    return 1

@@ -102,10 +102,6 @@ class MatcherModel:
         )
 
 
-def predict_groups(model: MatcherModel, head: str) -> tuple[float, float, float]:
-    return model.predict_proba(head)
-
-
 def train_swem_matcher(train: MatcherDataset, embeddings: EmbeddingTable,
                        config: TrainConfig | None = None) -> MatcherModel:
     """Train the projection on pooled features with mini-batch Adam.

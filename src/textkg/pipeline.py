@@ -93,13 +93,15 @@ def resolve_matcher_model(config: PipelineConfig,
                           embeddings: EmbeddingTable | None = None) -> MatcherModel:
     if not config.matcher_model:
         raise ConfigurationError("model matcher selected but no matcher model loaded")
-    table = embeddings or _load_embeddings(config)
+    table = embeddings if embeddings is not None else _load_embeddings(config)
     return MatcherModel.load(config.matcher_model, table)
 
 
-def resolve_scorer(config: PipelineConfig, registry: RelationRegistry):
+def resolve_scorer(config: PipelineConfig, registry: RelationRegistry,
+                   embeddings: EmbeddingTable | None = None):
     if config.filter == "embedding":
-        return EmbeddingCosineScorer(_load_embeddings(config), registry)
+        table = embeddings if embeddings is not None else _load_embeddings(config)
+        return EmbeddingCosineScorer(table, registry)
     if config.filter == "external":
         if not config.external_url:
             raise ConfigurationError("external filter selected but no endpoint URL set")
@@ -117,7 +119,10 @@ def infer(text: str, config: PipelineConfig | None = None, *,
     Explicit ``config.heads`` bypass extraction entirely; ``text`` may
     then be empty (an empty text with no explicit heads is an error).
     Components resolved from the config can be overridden by passing
-    instances directly.
+    instances directly. A matcher model resolved here shares its
+    embedding table with the embedding scorer, so one call parses
+    ``config.embeddings`` at most once; long-running callers resolve the
+    components once and pass ``matcher_model`` and ``scorer``.
     """
     config = config or PipelineConfig()
     registry = registry or default_registry()
@@ -136,9 +141,11 @@ def infer(text: str, config: PipelineConfig | None = None, *,
         return KnowledgeGraph()
 
     # -- relation matching
+    embeddings = None  # the table of a matcher model resolved here
     try:
         if config.matcher == "model" and matcher_model is None:
             matcher_model = resolve_matcher_model(config)
+            embeddings = matcher_model.embeddings
         pairs = match_relations(heads, config.matcher, registry,
                                 subset=config.relations, model=matcher_model)
     except StageError:
@@ -165,7 +172,7 @@ def infer(text: str, config: PipelineConfig | None = None, *,
             raise StageError("filtering", UsageError(
                 "filtering requires the original text as context"))
         try:
-            active_scorer = scorer or resolve_scorer(config, registry)
+            active_scorer = scorer or resolve_scorer(config, registry, embeddings)
             graph, judgments = filter_graph(graph, text, config.threshold,
                                             active_scorer,
                                             fail_open=not config.fail_closed)

@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from textkg.cli import main
 from textkg.core.knowledge import KnowledgeGraph, KnowledgeTuple
 from textkg.matching.dataset import MatcherDataset
@@ -202,3 +204,32 @@ def test_custom_relations_flag(tmp_path, capsys):
                        "--custom-relations", str(rels))
     assert code == 0
     assert json.loads(out.strip())["relation"] == "xDreams"
+
+
+def _embedding_argv(command: str, tmp_path, emb: str) -> list[str]:
+    if command == "infer":
+        return ["infer", "--text", TEXT, "--filter", "embedding", "--embeddings", emb]
+    if command == "filter":
+        graph_path = tmp_path / "g.jsonl"
+        KnowledgeGraph([KnowledgeTuple("alpha", "rel", ["alpha"])]).to_jsonl(graph_path)
+        return ["filter", "--graph", str(graph_path), "--context", "alpha",
+                "--embeddings", emb]
+    train, _, _ = separable_matcher_corpus(n_per_group=5, vocab_per_group=5, dim=4)
+    train_path = tmp_path / "train.jsonl"
+    train.to_jsonl(train_path)
+    return ["train-matcher", "--train", str(train_path), "--embeddings", emb,
+            "--out", str(tmp_path / "model.json")]
+
+
+@pytest.mark.parametrize("fault", ["missing", "not UTF-8"])
+@pytest.mark.parametrize("command", ["infer", "filter", "train-matcher"])
+def test_bad_embeddings_file_exits_2_with_one_line(tmp_path, capsys, command, fault):
+    emb_path = tmp_path / "emb.txt"
+    if fault == "not UTF-8":
+        emb_path.write_bytes(b"alpha 1.0 0.0\ncaf\xe9 0.5 0.5\n")
+    code, out, err = run(capsys, *_embedding_argv(command, tmp_path, str(emb_path)))
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
+    assert (str(emb_path) if fault == "missing" else "line 2: not valid UTF-8") in err

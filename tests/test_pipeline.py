@@ -13,6 +13,8 @@ from textkg.errors import (
     exit_code_for,
 )
 from textkg.filtering.relevance import EmbeddingCosineScorer
+from textkg.matching.embeddings import EmbeddingTable
+from textkg.matching.swem import MatcherModel
 from textkg.models.stub import StubModel
 
 from conftest import random_table
@@ -174,6 +176,50 @@ def test_model_matcher_end_to_end_from_files(tmp_path):
     registry = default_registry()
     groups = {registry[t.relation].group for t in graph}
     assert groups == {"physical"}
+
+
+def _model_filter_config(tmp_path) -> PipelineConfig:
+    """Model matcher and embedding filter over one saved embedding file."""
+    from synthdata import separable_matcher_corpus
+    from textkg.matching.swem import TrainConfig, train_swem_matcher
+
+    train, _, table = separable_matcher_corpus(n_per_group=30, vocab_per_group=10, dim=8)
+    emb_path = tmp_path / "emb.txt"
+    table.save(emb_path)
+    model_path = tmp_path / "matcher.json"
+    train_swem_matcher(train, table, TrainConfig(epochs=2, seed=4)).save(model_path)
+    return PipelineConfig(matcher="model", matcher_model=str(model_path),
+                          embeddings=str(emb_path), filter="embedding", threshold=0.0,
+                          heads=("physicalw0 physicalw1",))
+
+
+def _count_embedding_loads(monkeypatch) -> list:
+    loaded = []
+    load = EmbeddingTable.load
+
+    def counting_load(cls, path):
+        loaded.append(str(path))
+        return load(path)
+
+    monkeypatch.setattr(EmbeddingTable, "load", classmethod(counting_load))
+    return loaded
+
+
+def test_model_matcher_and_embedding_filter_load_embeddings_once(tmp_path, monkeypatch):
+    config = _model_filter_config(tmp_path)
+    loaded = _count_embedding_loads(monkeypatch)
+    graph = infer("physicalw0 physicalw1 socialw2", config)
+    assert len(graph) > 0
+    assert loaded == [config.embeddings]
+
+
+def test_caller_matcher_model_is_not_shared_with_the_scorer(tmp_path, monkeypatch):
+    config = _model_filter_config(tmp_path)
+    matcher_model = MatcherModel.load(config.matcher_model,
+                                      EmbeddingTable.load(config.embeddings))
+    loaded = _count_embedding_loads(monkeypatch)
+    infer("physicalw0 physicalw1 socialw2", config, matcher_model=matcher_model)
+    assert loaded == [config.embeddings]  # the scorer's own table
 
 
 def test_external_filter_without_url_is_config_error():
