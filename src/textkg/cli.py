@@ -11,10 +11,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import pipeline as pl
-from .core.knowledge import ParseOptions, parse_graph, serialize_graph
+from .core.knowledge import KnowledgeGraph, ParseOptions, parse_graph, serialize_graph
 from .core.relations import default_registry, load_relations_config
 from .errors import TextKGError, UsageError, exit_code_for
 from .extraction.heads import extract_heads
@@ -41,11 +42,21 @@ def _write_json(obj, output: str | None) -> None:
     _write_output(json.dumps(obj, indent=2, ensure_ascii=False) + "\n", output)
 
 
+@contextmanager
+def _reading(flag: str, path):
+    """Report a missing or unreadable ``flag`` file as a UsageError naming it."""
+    try:
+        yield
+    except OSError as e:
+        raise UsageError(f"cannot read {flag} file {path}: {e.strerror or e}") from e
+
+
 def _read_text_arg(args) -> str:
     if getattr(args, "text", None) is not None:
         return args.text
     if getattr(args, "input_file", None):
-        return Path(args.input_file).read_text(encoding="utf-8")
+        with _reading("--input-file", args.input_file):
+            return Path(args.input_file).read_text(encoding="utf-8")
     raise UsageError("provide --text or --input-file")
 
 
@@ -58,7 +69,10 @@ def _load_registry(args):
 
 
 def _read_heads_file(path) -> list[str]:
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
+    with _reading("--heads-file", path):
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(data, list):
+        raise UsageError("heads file must hold a JSON list")
     heads = []
     for item in data:
         if isinstance(item, str):
@@ -70,10 +84,16 @@ def _read_heads_file(path) -> list[str]:
     return heads
 
 
+def _read_graph(path) -> KnowledgeGraph:
+    with _reading("--graph", path):
+        return parse_graph(path, "jsonl", ParseOptions())
+
+
 def _build_config(args) -> pl.PipelineConfig:
     file_values: dict = {}
     if getattr(args, "config", None):
-        file_values = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        with _reading("--config", args.config):
+            file_values = json.loads(Path(args.config).read_text(encoding="utf-8"))
         if not isinstance(file_values, dict):
             raise UsageError("config file must hold a JSON object")
     overrides: dict = {}
@@ -156,7 +176,7 @@ def cmd_resplit(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    graph = parse_graph(args.graph, "jsonl", ParseOptions())
+    graph = _read_graph(args.graph)
     config = _build_config(args)
     registry = _load_registry(args)
     model = pl.resolve_model(config, registry)
@@ -168,7 +188,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_filter(args) -> int:
-    graph = parse_graph(args.graph, "jsonl", ParseOptions())
+    graph = _read_graph(args.graph)
     config = _build_config(args)
     registry = _load_registry(args)
     scorer = pl.resolve_scorer(config, registry)

@@ -2,19 +2,26 @@
 
 The built-in scorer verbalizes each fact through its relation and
 compares mean-pooled word embeddings of the context and the fact by
-cosine, mapped to [0, 1] via (cos + 1) / 2. A pluggable external scorer
-posts ``{context, head, relation, tail}`` to a classifier endpoint that
-answers ``{"relevance": p}``.
+cosine, mapped to [0, 1] via (cos + 1) / 2. It pools the context once
+per call and all facts together. A pluggable external scorer posts
+``{context, head, relation, tail}`` to a classifier endpoint that
+answers ``{"relevance": p}``, one request per tuple.
 
-Filtering is fail-open by default: a tuple whose scorer call fails is
-kept and flagged rather than dropped.
+:func:`filter_graph` makes one ``score_all(context, tuples)`` call per
+graph; a custom scorer implements that method (see
+:class:`RelevanceScorer`). It returns one entry per tuple, in order:
+``(score, flagged)``, or the :class:`TransportError` or
+:class:`ValidationError` that scoring that tuple raised. Any other
+exception ends the call and propagates. Filtering is fail-open by
+default: a tuple whose entry is an error is kept and flagged rather
+than dropped.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Protocol
+from typing import Protocol, Sequence
 
 import requests
 
@@ -37,9 +44,14 @@ class RelevanceJudgment:
     note: str = ""
 
 
+ScoreResult = tuple[float, bool] | TransportError | ValidationError
+
+
 class RelevanceScorer(Protocol):
-    def score(self, context: str, k: KnowledgeTuple) -> tuple[float, bool]:
-        """Return (score in [0, 1], flagged)."""
+    def score_all(self, context: str,
+                  tuples: Sequence[KnowledgeTuple]) -> list[ScoreResult]:
+        """Return, per tuple and in order, (score in [0, 1], flagged) or
+        the TransportError or ValidationError raised for that tuple."""
         ...
 
 
@@ -50,6 +62,12 @@ def _check_inputs(context: str, k: KnowledgeTuple) -> None:
         raise ValidationError("tuple has no tails to judge")
 
 
+def _unwrap(result: ScoreResult) -> tuple[float, bool]:
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
 class EmbeddingCosineScorer:
     """Cosine of pooled embeddings between context and verbalized fact."""
 
@@ -58,16 +76,32 @@ class EmbeddingCosineScorer:
         self.registry = registry or default_registry()
 
     def score(self, context: str, k: KnowledgeTuple) -> tuple[float, bool]:
-        _check_inputs(context, k)
-        fact_text = self.registry.verbalize_name(k.relation, k.head.text, tail=k.tails[0])
-        a = self.table.pool(context)
-        b = self.table.pool(fact_text)
+        return _unwrap(self.score_all(context, [k])[0])
+
+    def score_all(self, context: str,
+                  tuples: Sequence[KnowledgeTuple]) -> list[ScoreResult]:
+        results: list = [None] * len(tuples)
+        facts, slots = [], []
+        for i, k in enumerate(tuples):
+            try:
+                _check_inputs(context, k)
+                facts.append(self.registry.verbalize_name(k.relation, k.head.text,
+                                                          tail=k.tails[0]))
+            except (TransportError, ValidationError) as e:
+                results[i] = e
+            else:
+                slots.append(i)
+        a, *pooled = self.table.pool_many([context, *facts])
         na = float((a @ a) ** 0.5)
-        nb = float((b @ b) ** 0.5)
-        if na == 0.0 or nb == 0.0:
-            return UNINFORMATIVE_SCORE, True  # no token in vocabulary
-        cos = float(a @ b) / (na * nb)
-        return min(1.0, max(0.0, (cos + 1.0) / 2.0)), False
+        # one dot product per fact: a matrix product rounds differently
+        for i, b in zip(slots, pooled):
+            nb = float((b @ b) ** 0.5)
+            if na == 0.0 or nb == 0.0:
+                results[i] = (UNINFORMATIVE_SCORE, True)  # no token in vocabulary
+            else:
+                cos = float(a @ b) / (na * nb)
+                results[i] = (min(1.0, max(0.0, (cos + 1.0) / 2.0)), False)
+        return results
 
 
 class ExternalScorer:
@@ -101,10 +135,20 @@ class ExternalScorer:
                            status=response.status_code, body=response.text) from e
         return min(1.0, max(0.0, value)), False
 
+    def score_all(self, context: str,
+                  tuples: Sequence[KnowledgeTuple]) -> list[ScoreResult]:
+        results: list[ScoreResult] = []
+        for k in tuples:
+            try:
+                results.append(self.score(context, k))
+            except (TransportError, ValidationError) as e:
+                results.append(e)
+        return results
+
 
 def relevance_score(context: str, k: KnowledgeTuple, scorer: RelevanceScorer) -> float:
     """Relevance of one tuple to its originating context, in [0, 1]."""
-    score, _ = scorer.score(context, k)
+    score, _ = _unwrap(scorer.score_all(context, [k])[0])
     return score
 
 
@@ -120,16 +164,15 @@ def filter_graph(g: KnowledgeGraph, context: str, threshold: float,
         raise UsageError("threshold must be within [0, 1]")
     kept = KnowledgeGraph()
     judgments: list[RelevanceJudgment] = []
-    for t in g:
-        try:
-            score, flagged = scorer.score(context, t)
-        except (TransportError, ValidationError) as e:
-            logger.warning("scoring failed for (%s, %s): %s", t.head.text, t.relation, e)
+    for t, result in zip(g, scorer.score_all(context, g.tuples), strict=True):
+        if isinstance(result, (TransportError, ValidationError)):
+            logger.warning("scoring failed for (%s, %s): %s", t.head.text, t.relation, result)
             judgments.append(RelevanceJudgment(t, None, keep=fail_open,
-                                               flagged=True, note=str(e)))
+                                               flagged=True, note=str(result)))
             if fail_open:
                 kept.append(t)
             continue
+        score, flagged = result
         keep = score >= threshold
         judgments.append(RelevanceJudgment(t, score, keep=keep, flagged=flagged))
         if keep:

@@ -15,16 +15,23 @@ block that call does not read exactly as ``float()`` would. Every load
 parses the whole file; callers that need the table more than once keep
 the loaded table.
 
-Unknown words map to the zero vector and are excluded from the pooling
-denominator when at least one token is in vocabulary; all-unknown texts
-pool to the zero vector.
+Pooling a text averages the vectors of its in-vocabulary tokens; unknown
+words are left out of the mean, and a text with no known token pools to
+the zero vector. :meth:`EmbeddingTable.pool_many` pools many texts at
+once: it groups the texts by their number of known tokens, and pools
+each group with one gather into a ``(texts, tokens, dim)`` block, one sum
+over its token axis and one division by the count. Without padding, numpy
+sums every row in the order it uses for a single text's
+``matrix[rows].mean(axis=0)``, so each pooled row is bit-identical to
+pooling its text alone; :meth:`EmbeddingTable.pool` is ``pool_many`` of
+one text.
 """
 
 from __future__ import annotations
 
 import hashlib
 from itertools import islice
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -69,13 +76,22 @@ class EmbeddingTable:
 
     def pool(self, text: str) -> np.ndarray:
         """Mean of in-vocabulary token vectors; zero vector if none."""
-        return self.pool_tokens(word_tokens(text))
+        return self.pool_many([text])[0]
 
-    def pool_tokens(self, tokens: Iterable[str]) -> np.ndarray:
-        rows = [self.vocab[t] for t in tokens if t in self.vocab]
-        if not rows:
-            return np.zeros(self.dim, dtype=np.float64)
-        return self.matrix[rows].mean(axis=0)
+    def pool_many(self, texts: Sequence[str]) -> np.ndarray:
+        """Pooled vectors of ``texts``, one row per text, in order."""
+        rows = [[self.vocab[t] for t in word_tokens(text) if t in self.vocab]
+                for text in texts]
+        pooled = np.zeros((len(rows), self.dim), dtype=np.float64)
+        by_count: dict[int, list[int]] = {}
+        for i, r in enumerate(rows):
+            if r:
+                by_count.setdefault(len(r), []).append(i)
+        # no padding: at dim 1 numpy sums pairwise, so padding would change the sum
+        for count, members in by_count.items():
+            index = np.array([rows[i] for i in members], dtype=np.intp)
+            pooled[members] = self.matrix[index].sum(axis=1) / count
+        return pooled
 
     @classmethod
     def from_mapping(cls, vectors: Mapping[str, Iterable[float]]) -> "EmbeddingTable":

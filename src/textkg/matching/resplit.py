@@ -16,7 +16,7 @@ from ..core.relations import GROUPS
 from ..errors import InfeasibleSplitError, ValidationError
 from ..tokenization import word_tokens
 from .dataset import MatcherDataset
-from .stopwords import STOPWORDS, STOPWORDS_VERSION
+from .stopwords import STOPWORDS
 
 
 @dataclass
@@ -24,7 +24,6 @@ class ResplitConfig:
     n: int = 0  # max training occurrences per test non-stopword
     seed: int = 0
     max_test_size: int | None = None  # None: a fifth of the pool
-    stopwords_version: str = STOPWORDS_VERSION
 
     def __post_init__(self):
         if self.n < 0:

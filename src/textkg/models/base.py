@@ -33,8 +33,7 @@ class GenerationFailure:
 
 
 class KnowledgeModel(abc.ABC):
-    """Abstract knowledge model: generate is required; training and
-    save/load are optional capabilities of concrete backends."""
+    """Abstract knowledge model: concrete backends implement generate."""
 
     @abc.abstractmethod
     def generate(self, partial: KnowledgeGraph,
@@ -49,13 +48,3 @@ class KnowledgeModel(abc.ABC):
         Default implementation assumes no per-tuple failures.
         """
         return self.generate(partial, decode), []
-
-    def train(self, graph: KnowledgeGraph, **kwargs):
-        raise NotImplementedError(f"{type(self).__name__} does not support training")
-
-    def save(self, path):
-        raise NotImplementedError(f"{type(self).__name__} does not support saving")
-
-    @classmethod
-    def load(cls, path):
-        raise NotImplementedError(f"{cls.__name__} does not support loading")

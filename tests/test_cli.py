@@ -233,3 +233,44 @@ def test_bad_embeddings_file_exits_2_with_one_line(tmp_path, capsys, command, fa
     assert err.count("\n") == 1 and err.startswith("error: ")
     assert "Traceback" not in err
     assert (str(emb_path) if fault == "missing" else "line 2: not valid UTF-8") in err
+
+
+def _missing_file_argv(command: str, flag: str, tmp_path, missing: str) -> list[str]:
+    graph_path = tmp_path / "g.jsonl"
+    KnowledgeGraph([KnowledgeTuple("alpha", "rel", ["alpha"])]).to_jsonl(graph_path)
+    heads_path = tmp_path / "heads.json"
+    heads_path.write_text(json.dumps(["hammer"]))
+    files = {"--graph": str(graph_path), "--heads-file": str(heads_path), flag: missing}
+    argv = {
+        "infer": ["infer", "--dry-run"] + (["--text", TEXT] if flag != "--input-file" else []),
+        "heads": ["heads"],
+        "match": ["match", "--heads-file", files["--heads-file"]],
+        "filter": ["filter", "--graph", files["--graph"], "--context", "alpha"],
+        "eval": ["eval", "--graph", files["--graph"]],
+    }[command]
+    return argv if flag in ("--graph", "--heads-file") else argv + [flag, missing]
+
+
+@pytest.mark.parametrize("command,flag", [
+    ("infer", "--config"), ("infer", "--input-file"), ("heads", "--input-file"),
+    ("match", "--config"), ("match", "--heads-file"), ("filter", "--config"),
+    ("filter", "--graph"), ("eval", "--config"), ("eval", "--graph"),
+])
+def test_missing_input_file_exits_2_with_one_line(tmp_path, capsys, command, flag):
+    missing = str(tmp_path / "absent" / "file.json")
+    code, out, err = run(capsys, *_missing_file_argv(command, flag, tmp_path, missing))
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
+    assert flag in err and missing in err
+
+
+@pytest.mark.parametrize("content", [{"a": 1}, "abc", 5])
+def test_heads_file_must_hold_a_list(tmp_path, capsys, content):
+    heads_file = tmp_path / "heads.json"
+    heads_file.write_text(json.dumps(content))
+    code, out, err = run(capsys, "match", "--heads-file", str(heads_file))
+    assert code == 2
+    assert out == ""
+    assert err == "error: heads file must hold a JSON list\n"

@@ -195,3 +195,25 @@ def test_external_scorer_clamps_to_unit_interval(mock_server):
     mock_server.set_behavior(lambda state, body: (200, {"relevance": 1.7}))
     scorer = ExternalScorer(mock_server.url)
     assert relevance_score("c", KnowledgeTuple("h", "r", ["t"]), scorer) == 1.0
+
+
+def test_external_scorer_failure_stays_in_its_slot(mock_server):
+    mock_server.set_behavior(lambda state, body: (500, {"error": "down"}) if body["head"] == "b"
+                             else (200, {"relevance": 0.8}))
+    graph = KnowledgeGraph([KnowledgeTuple(h, "r", ["t"]) for h in "abc"])
+    kept, judgments = filter_graph(graph, "ctx", 0.5, ExternalScorer(mock_server.url),
+                                   fail_open=False)
+    assert [j.score for j in judgments] == [0.8, None, 0.8]
+    assert judgments[1].flagged and "status 500" in judgments[1].note
+    assert [t.head.text for t in kept] == ["a", "c"]
+    assert [r["body"]["head"] for r in mock_server.requests] == ["a", "b", "c"]
+
+
+def test_scorer_must_return_one_result_per_tuple():
+    class ShortScorer:
+        def score_all(self, context, tuples):
+            return [(1.0, False)] * (len(tuples) - 1)
+
+    _, graph = fixture_graph()
+    with pytest.raises(ValueError):
+        filter_graph(graph, "alpha", 0.5, ShortScorer())
