@@ -17,12 +17,12 @@ from pathlib import Path
 from . import pipeline as pl
 from .core.knowledge import KnowledgeGraph, ParseOptions, parse_graph, serialize_graph
 from .core.relations import default_registry, load_relations_config
-from .errors import TextKGError, UsageError, exit_code_for
-from .extraction.heads import extract_heads
+from .errors import ParseError, TextKGError, UsageError, exit_code_for
+from .extraction.heads import EXTRACTOR_NAMES, extract_heads
 from .filtering.relevance import filter_graph
 from .matching.dataset import MatcherDataset
 from .matching.embeddings import EmbeddingTable
-from .matching.matchers import match_relations, pairs_to_graph
+from .matching.matchers import MATCHER_NAMES, match_relations, pairs_to_graph
 from .matching.resplit import ResplitConfig, compute_overlap, resplit_dataset
 from .matching.swem import TrainConfig, train_swem_matcher
 from .metrics.scores import METRIC_NAMES, evaluate_model
@@ -44,11 +44,14 @@ def _write_json(obj, output: str | None) -> None:
 
 @contextmanager
 def _reading(flag: str, path):
-    """Report a missing or unreadable ``flag`` file as a UsageError naming it."""
+    """Report a missing or unreadable ``flag`` file as a UsageError, and
+    malformed JSON in it as a ParseError with its line, naming flag and path."""
     try:
         yield
     except OSError as e:
         raise UsageError(f"cannot read {flag} file {path}: {e.strerror or e}") from e
+    except json.JSONDecodeError as e:
+        raise ParseError(f"invalid JSON in {flag} file {path}: {e.msg}", line=e.lineno) from e
 
 
 def _read_text_arg(args) -> str:
@@ -63,8 +66,9 @@ def _read_text_arg(args) -> str:
 def _load_registry(args):
     registry = default_registry()
     if getattr(args, "custom_relations", None):
-        for rel in load_relations_config(args.custom_relations):
-            registry.register(rel)
+        with _reading("--custom-relations", args.custom_relations):
+            for rel in load_relations_config(args.custom_relations):
+                registry.register(rel)
     return registry
 
 
@@ -122,6 +126,10 @@ def _build_config(args) -> pl.PipelineConfig:
 def cmd_infer(args) -> int:
     config = _build_config(args)
     registry = _load_registry(args)
+    if config.matcher == "model" and config.matcher_model:
+        # Fail on an unreadable model before infer parses the embedding file.
+        with _reading("--model", config.matcher_model):
+            Path(config.matcher_model).open("rb").close()
     text = ""
     if args.text is not None or args.input_file:
         text = _read_text_arg(args)
@@ -134,7 +142,7 @@ def cmd_heads(args) -> int:
     text = _read_text_arg(args)
     extractors = ([s.strip() for s in args.extractors.split(",")]
                   if args.extractors else None)
-    found = extract_heads(text, extractors or ("sentence", "noun_phrase", "verb_phrase"))
+    found = extract_heads(text, extractors or EXTRACTOR_NAMES)
     _write_json([{"head": e.head.text, "form": e.form} for e in found], args.output)
     return 0
 
@@ -145,7 +153,8 @@ def cmd_match(args) -> int:
     config = _build_config(args)
     matcher_model = None
     if config.matcher == "model":
-        matcher_model = pl.resolve_matcher_model(config)
+        with _reading("--model", config.matcher_model):
+            matcher_model = pl.resolve_matcher_model(config)
     pairs = match_relations(heads, config.matcher, registry,
                             subset=config.relations, model=matcher_model)
     _write_output(serialize_graph(pairs_to_graph(pairs), "jsonl"), args.output)
@@ -153,7 +162,8 @@ def cmd_match(args) -> int:
 
 
 def cmd_train_matcher(args) -> int:
-    train = MatcherDataset.from_jsonl(args.train)
+    with _reading("--train", args.train):
+        train = MatcherDataset.from_jsonl(args.train)
     table = EmbeddingTable.load(args.embeddings)
     config = TrainConfig(epochs=args.epochs, batch_size=args.batch_size,
                          learning_rate=args.lr, seed=args.seed)
@@ -165,7 +175,8 @@ def cmd_train_matcher(args) -> int:
 
 
 def cmd_resplit(args) -> int:
-    pool = MatcherDataset.from_jsonl(args.input)
+    with _reading("--input", args.input):
+        pool = MatcherDataset.from_jsonl(args.input)
     config = ResplitConfig(n=args.n, seed=args.seed, max_test_size=args.max_test_size)
     train, test = resplit_dataset(pool, config)
     train.to_jsonl(args.out_train)
@@ -215,31 +226,33 @@ def cmd_filter(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON config file mirroring the pipeline options")
-    common.add_argument("--seed", type=int, default=0, help="random seed")
     common.add_argument("--output", help="output path (default: stdout)")
     common.add_argument("--json-errors", action="store_true",
                         help="emit machine-readable errors on stderr")
+    configured = argparse.ArgumentParser(add_help=False, parents=[common])
+    configured.add_argument("--config", help="JSON config file mirroring the pipeline options")
+    seeded = argparse.ArgumentParser(add_help=False, parents=[common])
+    seeded.add_argument("--seed", type=int, default=0, help="random seed")
 
     parser = argparse.ArgumentParser(prog="textkg",
                                      description="Text to commonsense knowledge graphs.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("infer", parents=[common],
+    p = sub.add_parser("infer", parents=[configured],
                        help="run the full pipeline on a text")
     p.add_argument("--text")
     p.add_argument("--input-file")
     p.add_argument("--heads", nargs="+", help="explicit heads (bypass extraction)")
     p.add_argument("--extractors", help="comma list: sentence,noun_phrase,verb_phrase")
-    p.add_argument("--matcher", choices=("base", "heuristic", "model"))
+    p.add_argument("--matcher", choices=MATCHER_NAMES)
     p.add_argument("--model", help="trained matcher model path")
     p.add_argument("--embeddings", help="embedding text file")
     p.add_argument("--relations", help="comma list restricting relations")
-    p.add_argument("--backend", choices=("stub", "api"))
+    p.add_argument("--backend", choices=pl.BACKENDS)
     p.add_argument("--max-tokens", type=int, dest="max_tokens")
     p.add_argument("--temperature", type=float)
     p.add_argument("--n-samples", type=int, dest="n_samples")
-    p.add_argument("--filter", choices=("off", "embedding", "external"))
+    p.add_argument("--filter", choices=pl.FILTER_MODES)
     p.add_argument("--threshold", type=float)
     p.add_argument("--external-url", dest="external_url")
     p.add_argument("--custom-relations", help="JSON file of custom relation definitions")
@@ -253,17 +266,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--extractors", help="comma list: sentence,np,vp")
     p.set_defaults(func=cmd_heads)
 
-    p = sub.add_parser("match", parents=[common], help="match relations to heads")
+    p = sub.add_parser("match", parents=[configured], help="match relations to heads")
     p.add_argument("--heads-file", required=True,
                    help="JSON list of head strings or {head} objects")
-    p.add_argument("--matcher", choices=("base", "heuristic", "model"), default="heuristic")
+    p.add_argument("--matcher", choices=MATCHER_NAMES, default="heuristic")
     p.add_argument("--model", help="trained matcher model path")
     p.add_argument("--embeddings", help="embedding text file (model matcher)")
     p.add_argument("--relations", help="comma list restricting relations")
     p.add_argument("--custom-relations", help="JSON file of custom relation definitions")
     p.set_defaults(func=cmd_match)
 
-    p = sub.add_parser("train-matcher", parents=[common],
+    p = sub.add_parser("train-matcher", parents=[seeded],
                        help="train the embedding-projection matcher")
     p.add_argument("--train", required=True, help="jsonl dataset of labeled heads")
     p.add_argument("--embeddings", required=True, help="embedding text file")
@@ -273,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="model output path")
     p.set_defaults(func=cmd_train_matcher)
 
-    p = sub.add_parser("resplit", parents=[common],
+    p = sub.add_parser("resplit", parents=[seeded],
                        help="overlap-controlled train/test resplit")
     p.add_argument("--input", required=True, help="jsonl pool of labeled heads")
     p.add_argument("--n", type=int, required=True,
@@ -284,19 +297,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", action="store_true", help="print the overlap report")
     p.set_defaults(func=cmd_resplit)
 
-    p = sub.add_parser("eval", parents=[common], help="score a backend against references")
-    p.add_argument("--model", dest="backend", choices=("stub", "api"), default="stub")
+    p = sub.add_parser("eval", parents=[configured], help="score a backend against references")
+    p.add_argument("--model", dest="backend", choices=pl.BACKENDS, default="stub")
     p.add_argument("--graph", required=True, help="jsonl reference graph")
     p.add_argument("--metrics", help=f"comma list of {','.join(METRIC_NAMES)}")
     p.add_argument("--out", help="report output path")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("filter", parents=[common], help="filter a graph by relevance")
+    p = sub.add_parser("filter", parents=[configured], help="filter a graph by relevance")
     p.add_argument("--graph", required=True, help="jsonl graph to filter")
     p.add_argument("--context", required=True)
     p.add_argument("--threshold", type=float)
-    p.add_argument("--scorer", dest="filter", choices=("embedding", "external"),
-                   default="embedding")
+    p.add_argument("--scorer", dest="filter", default="embedding",
+                   choices=[m for m in pl.FILTER_MODES if m != "off"])
     p.add_argument("--embeddings", help="embedding text file (embedding scorer)")
     p.add_argument("--external-url", dest="external_url")
     p.add_argument("--out", help="kept-graph output path")

@@ -18,8 +18,6 @@ from typing import IO, Iterable, Iterator, Union
 
 from ..errors import ParseError, UsageError, ValidationError
 
-JSONL_KEYS = ("head", "relation", "tails")
-
 
 @dataclass(frozen=True)
 class KnowledgeHead:
@@ -66,13 +64,6 @@ class KnowledgeTuple:
 
     def with_tails(self, tails: Iterable[str]) -> "KnowledgeTuple":
         return KnowledgeTuple(self.head, self.relation, tails)
-
-    def to_dict(self) -> dict:
-        return {"head": self.head.text, "relation": self.relation, "tails": list(self.tails)}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "KnowledgeTuple":
-        return cls(d["head"], d["relation"], d.get("tails") or [])
 
 
 @dataclass
@@ -196,31 +187,32 @@ def graph_set_op(kind: str, a: KnowledgeGraph, b: KnowledgeGraph) -> KnowledgeGr
     return KnowledgeGraph(out)
 
 
-def _open_source(source) -> IO[str]:
-    if isinstance(source, (str, Path)):
-        return open(source, "r", encoding="utf-8", newline="")
-    if isinstance(source, bytes):
-        return io.TextIOWrapper(io.BytesIO(source), encoding="utf-8", newline="")
-    if isinstance(source, io.RawIOBase) or isinstance(source, io.BufferedIOBase):
-        return io.TextIOWrapper(source, encoding="utf-8", newline="")
-    if hasattr(source, "read"):
-        return source  # already a text stream
-    raise UsageError(f"cannot read graph from {type(source).__name__}")
-
-
 def parse_graph(source, format: str, options: ParseOptions | None = None) -> KnowledgeGraph:
     """Read a graph from a path, byte string, or open stream.
 
     One tuple per record; a missing tails field yields an empty tail list.
     Malformed records raise :class:`ParseError` naming the line number.
+    A file opened from a path is closed again; a stream the caller passed
+    in is left open.
     """
+    parse = {"csv": _parse_csv, "jsonl": _parse_jsonl}.get(format)
+    if parse is None:
+        raise UsageError(f"unknown graph format {format!r}")
     options = options or ParseOptions()
-    stream = _open_source(source)
-    if format == "csv":
-        return _parse_csv(stream, options)
-    if format == "jsonl":
-        return _parse_jsonl(stream, options)
-    raise UsageError(f"unknown graph format {format!r}")
+    if isinstance(source, (str, Path)):
+        with open(source, "r", encoding="utf-8", newline="") as stream:
+            return parse(stream, options)
+    if isinstance(source, bytes):
+        source = io.BytesIO(source)
+    if isinstance(source, (io.RawIOBase, io.BufferedIOBase)):
+        stream = io.TextIOWrapper(source, encoding="utf-8", newline="")
+        try:
+            return parse(stream, options)
+        finally:
+            stream.detach()  # closing the wrapper would close ``source``
+    if hasattr(source, "read"):
+        return parse(source, options)  # already a text stream
+    raise UsageError(f"cannot read graph from {type(source).__name__}")
 
 
 def _parse_csv(stream: IO[str], opts: ParseOptions) -> KnowledgeGraph:

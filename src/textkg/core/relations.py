@@ -27,7 +27,7 @@ GROUPS = (PHYSICAL, SOCIAL, EVENT)
 
 # Verbalizers take the head and keyword-only tail/index; they own head and
 # index placement. When a verbalizer does not consume the tail itself,
-# verbalize() appends it after the relation phrase.
+# KnowledgeRelation.verbalize appends it after the relation phrase.
 Verbalizer = Callable[..., str]
 
 
@@ -158,12 +158,6 @@ def _call_verbalizer(fn: Verbalizer, head: str, tail: str | None,
 def register_relation(registry: RelationRegistry, rel: KnowledgeRelation) -> RelationRegistry:
     """Add ``rel`` to ``registry``; duplicate names raise ConflictError."""
     return registry.register(rel)
-
-
-def verbalize(rel: KnowledgeRelation, head: str, tail: str | None = None,
-              index: int | None = None) -> str:
-    """Function form of :meth:`KnowledgeRelation.verbalize`."""
-    return rel.verbalize(head, tail=tail, index=index)
 
 
 # The ATOMIC2020 inventory with its physical / social / event grouping.

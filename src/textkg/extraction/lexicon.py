@@ -22,8 +22,6 @@ NUM = "NUM"
 PUNCT = "PUNCT"
 OTHER = "OTHER"
 
-TAGS = (NOUN, VERB, ADJ, DET, PRON, ADP, ADV, NUM, PUNCT, OTHER)
-
 _DET = """
 a an the this that these those each every either neither some any no none
 another such both all half which what whose whatever whichever

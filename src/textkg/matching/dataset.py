@@ -14,8 +14,6 @@ from typing import Iterable, Iterator
 from ..core.relations import GROUPS
 from ..errors import ParseError, ValidationError
 
-GROUP_INDEX = {g: i for i, g in enumerate(GROUPS)}
-
 
 @dataclass(frozen=True)
 class LabeledHead:

@@ -7,46 +7,16 @@ maps a head text to a set of predicted groups can be scored.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 from ..core.relations import GROUPS
 from ..errors import UsageError
-from ..extraction.heads import NOUN_PHRASE, classify_head_form
 from .dataset import MatcherDataset
+from .matchers import (  # the predictors stay importable from here
+    base_group_predictor,
+    heuristic_group_predictor,
+    resolve_group_predictor,
+)
 from .swem import MatcherModel
-
-GroupPredictor = Callable[[str], frozenset[str]]
-
-
-def base_group_predictor(head: str) -> frozenset[str]:
-    """The all-relations matcher predicts every group."""
-    return frozenset(GROUPS)
-
-
-def heuristic_group_predictor(head: str) -> frozenset[str]:
-    """Noun phrases map to physical; sentences and verb phrases map to
-    social plus event."""
-    if classify_head_form(head) == NOUN_PHRASE:
-        return frozenset({"physical"})
-    return frozenset({"social", "event"})
-
-
-def resolve_group_predictor(matcher, model: MatcherModel | None = None) -> GroupPredictor:
-    """Accepts 'base' / 'heuristic' / 'model', a MatcherModel, or any
-    callable head -> group set."""
-    if isinstance(matcher, MatcherModel):
-        return matcher.predict_groups
-    if callable(matcher):
-        return matcher
-    if matcher == "base":
-        return base_group_predictor
-    if matcher == "heuristic":
-        return heuristic_group_predictor
-    if matcher == "model":
-        if model is None:
-            raise UsageError("model matcher selected but no matcher model loaded")
-        return model.predict_groups
-    raise UsageError(f"unknown matcher {matcher!r}")
 
 
 @dataclass

@@ -92,7 +92,7 @@ def resolve_model(config: PipelineConfig,
 def resolve_matcher_model(config: PipelineConfig,
                           embeddings: EmbeddingTable | None = None) -> MatcherModel:
     if not config.matcher_model:
-        raise ConfigurationError("model matcher selected but no matcher model loaded")
+        raise ConfigurationError("model matcher selected but no matcher model path set")
     table = embeddings if embeddings is not None else _load_embeddings(config)
     return MatcherModel.load(config.matcher_model, table)
 

@@ -240,22 +240,39 @@ def _missing_file_argv(command: str, flag: str, tmp_path, missing: str) -> list[
     KnowledgeGraph([KnowledgeTuple("alpha", "rel", ["alpha"])]).to_jsonl(graph_path)
     heads_path = tmp_path / "heads.json"
     heads_path.write_text(json.dumps(["hammer"]))
-    files = {"--graph": str(graph_path), "--heads-file": str(heads_path), flag: missing}
+    emb_path = tmp_path / "emb.txt"
+    emb_path.write_text("alpha 1.0 0.0\n")
+    out = [str(tmp_path / name) for name in ("a.jsonl", "b.jsonl")]
+    pool = str(tmp_path / "pool.jsonl")
+    files = {"--graph": str(graph_path), "--heads-file": str(heads_path),
+             "--train": pool, "--input": pool, flag: missing}
     argv = {
         "infer": ["infer", "--dry-run"] + (["--text", TEXT] if flag != "--input-file" else []),
         "heads": ["heads"],
         "match": ["match", "--heads-file", files["--heads-file"]],
         "filter": ["filter", "--graph", files["--graph"], "--context", "alpha"],
         "eval": ["eval", "--graph", files["--graph"]],
+        "train-matcher": ["train-matcher", "--train", files["--train"],
+                          "--embeddings", str(emb_path), "--out", out[0]],
+        "resplit": ["resplit", "--input", files["--input"], "--n", "0",
+                    "--out-train", out[0], "--out-test", out[1]],
     }[command]
-    return argv if flag in ("--graph", "--heads-file") else argv + [flag, missing]
+    if flag == "--model":
+        argv += ["--matcher", "model", "--embeddings", str(emb_path)]
+    return argv if flag in ("--graph", "--heads-file", "--train", "--input") else argv + [flag, missing]
 
 
-@pytest.mark.parametrize("command,flag", [
+INPUT_FILE_FLAGS = [
     ("infer", "--config"), ("infer", "--input-file"), ("heads", "--input-file"),
     ("match", "--config"), ("match", "--heads-file"), ("filter", "--config"),
     ("filter", "--graph"), ("eval", "--config"), ("eval", "--graph"),
-])
+    ("train-matcher", "--train"), ("resplit", "--input"),
+    ("infer", "--custom-relations"), ("match", "--custom-relations"),
+    ("filter", "--custom-relations"), ("infer", "--model"), ("match", "--model"),
+]
+
+
+@pytest.mark.parametrize("command,flag", INPUT_FILE_FLAGS)
 def test_missing_input_file_exits_2_with_one_line(tmp_path, capsys, command, flag):
     missing = str(tmp_path / "absent" / "file.json")
     code, out, err = run(capsys, *_missing_file_argv(command, flag, tmp_path, missing))
@@ -264,6 +281,34 @@ def test_missing_input_file_exits_2_with_one_line(tmp_path, capsys, command, fla
     assert err.count("\n") == 1 and err.startswith("error: ")
     assert "Traceback" not in err
     assert flag in err and missing in err
+
+
+@pytest.mark.parametrize("content,line", [("", 1), ('{\n  "a": 1,\n}\n', 3), ('[\n"x"\n', 3)])
+@pytest.mark.parametrize("command,flag", [
+    (command, flag) for command, flag in INPUT_FILE_FLAGS
+    if flag in ("--config", "--custom-relations", "--heads-file")])
+def test_malformed_json_file_exits_2_with_its_line(tmp_path, capsys, command, flag,
+                                                   content, line):
+    bad = tmp_path / "bad.json"
+    bad.write_text(content)
+    code, out, err = run(capsys, *_missing_file_argv(command, flag, tmp_path, str(bad)))
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith(f"error: line {line}: invalid JSON")
+    assert flag in err and str(bad) in err
+
+
+@pytest.mark.parametrize("command,flag", [
+    ("heads", "--config"), ("train-matcher", "--config"), ("resplit", "--config"),
+    ("infer", "--seed"), ("heads", "--seed"), ("match", "--seed"),
+    ("eval", "--seed"), ("filter", "--seed"),
+])
+def test_unread_flag_is_rejected(tmp_path, capsys, command, flag):
+    argv = _missing_file_argv(command, flag, tmp_path, "0")
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("content", [{"a": 1}, "abc", 5])

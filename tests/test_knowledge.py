@@ -1,5 +1,7 @@
+import gc
 import io
 import json
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -206,3 +208,26 @@ def test_parse_accepts_text_stream():
     g = parse_graph(io.StringIO('{"head":"h","relation":"r","tails":[]}\n'),
                     "jsonl", ParseOptions())
     assert len(g) == 1
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+def test_parse_path_closes_its_file(tmp_path, fmt):
+    graph = KnowledgeGraph([KnowledgeTuple("h", "r", ["t"])])
+    good, bad = tmp_path / "good", tmp_path / "bad"
+    good.write_bytes(serialize_graph(graph, fmt))
+    bad.write_bytes(b"{bad json\n" if fmt == "jsonl" else b"onlyonecolumn\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        assert parse_graph(good, fmt) == graph
+        with pytest.raises(ParseError):
+            parse_graph(bad, fmt, ParseOptions(sep="|"))
+        gc.collect()
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+
+def test_parse_leaves_callers_streams_open():
+    data = b'{"head":"h","relation":"r"}\n'
+    binary, text = io.BytesIO(data), io.StringIO(data.decode())
+    assert parse_graph(binary, "jsonl") == parse_graph(text, "jsonl")
+    gc.collect()
+    assert not binary.closed and not text.closed
