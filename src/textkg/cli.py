@@ -17,7 +17,7 @@ from pathlib import Path
 from . import pipeline as pl
 from .core.knowledge import KnowledgeGraph, ParseOptions, parse_graph, serialize_graph
 from .core.relations import default_registry, load_relations_config
-from .errors import ParseError, TextKGError, UsageError, exit_code_for
+from .errors import ParseError, TextKGError, UsageError, exit_code_for, not_utf8
 from .extraction.heads import EXTRACTOR_NAMES, extract_heads
 from .filtering.relevance import filter_graph
 from .matching.dataset import MatcherDataset
@@ -45,11 +45,14 @@ def _write_json(obj, output: str | None) -> None:
 @contextmanager
 def _reading(flag: str, path):
     """Report a missing or unreadable ``flag`` file as a UsageError, and
-    malformed JSON in it as a ParseError with its line, naming flag and path."""
+    bytes that are not UTF-8 or malformed JSON in it as a ParseError with
+    its line, naming flag and path."""
     try:
         yield
     except OSError as e:
         raise UsageError(f"cannot read {flag} file {path}: {e.strerror or e}") from e
+    except UnicodeDecodeError as e:
+        raise not_utf8(path, e, f" in {flag} file {path}") from e
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid JSON in {flag} file {path}: {e.msg}", line=e.lineno) from e
 

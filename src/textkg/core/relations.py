@@ -46,7 +46,6 @@ class KnowledgeRelation:
     verbalizer: Optional[Verbalizer] = None
     template: Optional[str] = None
     instruction: Optional[str] = None
-    origin: str = "custom"
     alias_of: Optional[str] = None
 
     def __post_init__(self):
@@ -102,9 +101,6 @@ class RelationRegistry:
 
     def __iter__(self):
         return iter(self._by_name.values())
-
-    def get(self, name: str) -> KnowledgeRelation | None:
-        return self._by_name.get(name)
 
     def __getitem__(self, name: str) -> KnowledgeRelation:
         try:
@@ -186,23 +182,13 @@ _CONCEPTNET_PHYSICAL = [
 ATOMIC_RELATION_NAMES = tuple(n for names in _ATOMIC2020.values() for n in names)
 CONCEPTNET_RELATION_NAMES = tuple(n for n, _ in _CONCEPTNET_PHYSICAL)
 
-
-def atomic_relations() -> list[KnowledgeRelation]:
-    return [KnowledgeRelation(name, group=grp, origin="atomic2020")
-            for grp, names in _ATOMIC2020.items() for name in names]
-
-
-def conceptnet_relations() -> list[KnowledgeRelation]:
-    return [KnowledgeRelation(name, group=PHYSICAL, origin="conceptnet", alias_of=alias)
-            for name, alias in _CONCEPTNET_PHYSICAL]
-
-
 def default_registry(include_conceptnet: bool = True) -> RelationRegistry:
     """Fresh registry with the built-in inventory registered."""
-    registry = RelationRegistry(atomic_relations())
+    registry = RelationRegistry(KnowledgeRelation(name, group=grp)
+                                for grp, names in _ATOMIC2020.items() for name in names)
     if include_conceptnet:
-        for rel in conceptnet_relations():
-            registry.register(rel)
+        for name, alias in _CONCEPTNET_PHYSICAL:
+            registry.register(KnowledgeRelation(name, group=PHYSICAL, alias_of=alias))
     return registry
 
 
@@ -216,10 +202,16 @@ def load_relations_config(path) -> list[KnowledgeRelation]:
     raw = json.loads(Path(path).read_text(encoding="utf-8"))
     if isinstance(raw, dict):
         raw = raw.get("relations", [])
+    if not isinstance(raw, list):
+        raise ValidationError("relation config must hold a list of relations, "
+                              "or an object with one under 'relations'")
     rels = []
     for entry in raw:
-        if "name" not in entry:
-            raise ValidationError("relation config entry missing 'name'")
+        if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
+            raise ValidationError("relation config entry must be an object with a string 'name'")
+        for key in ("group", "template", "instruction"):
+            if entry.get(key) is not None and not isinstance(entry[key], str):
+                raise ValidationError(f"relation config entry's {key!r} must be a string")
         rels.append(KnowledgeRelation(
             name=entry["name"],
             group=entry.get("group", CUSTOM),

@@ -29,6 +29,20 @@ class ParseError(ValidationError):
         self.line = line
 
 
+def not_utf8(path, error: UnicodeDecodeError, where: str = "") -> ParseError:
+    """ParseError for a file that failed to decode as UTF-8, with the
+    line of ``path`` that holds the first undecodable byte."""
+    line = 1
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, text in enumerate(fh, 1):
+            try:
+                text.encode("utf-8")
+            except UnicodeEncodeError:
+                line = lineno
+                break
+    return ParseError(f"not valid UTF-8{where}: {error.reason}", line=line)
+
+
 class ConflictError(UsageError):
     """Attempt to register a name that already exists."""
 

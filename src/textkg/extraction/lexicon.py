@@ -1,6 +1,6 @@
 """Embedded coarse POS lexicon and suffix rules.
 
-A versioned word list keeps the tagger dependency-free and deterministic.
+An embedded word list keeps the tagger dependency-free and deterministic.
 Lookup priority: closed classes first, then irregular verb forms, then
 adjectives and nouns, then verb lemmas, so words listed in several open
 classes resolve to the less verb-happy reading (e.g. bare "clean" is ADJ,
@@ -8,8 +8,6 @@ classes resolve to the less verb-happy reading (e.g. bare "clean" is ADJ,
 """
 
 from __future__ import annotations
-
-LEXICON_VERSION = "2024.1"
 
 NOUN = "NOUN"
 VERB = "VERB"

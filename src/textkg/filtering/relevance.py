@@ -5,7 +5,8 @@ compares mean-pooled word embeddings of the context and the fact by
 cosine, mapped to [0, 1] via (cos + 1) / 2. It pools the context once
 per call and all facts together. A pluggable external scorer posts
 ``{context, head, relation, tail}`` to a classifier endpoint that
-answers ``{"relevance": p}``, one request per tuple.
+answers ``{"relevance": p}``, one request per tuple, through
+:func:`textkg.transport.post_json` with no retry.
 
 :func:`filter_graph` makes one ``score_all(context, tuples)`` call per
 graph; a custom scorer implements that method (see
@@ -23,12 +24,11 @@ import logging
 from dataclasses import dataclass
 from typing import Protocol, Sequence
 
-import requests
-
 from ..core.knowledge import KnowledgeGraph, KnowledgeTuple
 from ..core.relations import RelationRegistry, default_registry
 from ..errors import ApiError, TransportError, UsageError, ValidationError
 from ..matching.embeddings import EmbeddingTable
+from ..transport import new_session, post_json
 
 logger = logging.getLogger(__name__)
 
@@ -105,13 +105,13 @@ class EmbeddingCosineScorer:
 
 
 class ExternalScorer:
-    """Delegates scoring to a fact-linking classifier endpoint."""
+    """Delegates scoring to a fact-linking classifier endpoint, one
+    request at a time on one session, with no retry."""
 
-    def __init__(self, url: str, timeout: float = 30.0,
-                 session: requests.Session | None = None):
+    def __init__(self, url: str, timeout: float = 30.0):
         self.url = url
         self.timeout = timeout
-        self.session = session or requests.Session()
+        self.session = None  # made on first use
 
     def score(self, context: str, k: KnowledgeTuple) -> tuple[float, bool]:
         _check_inputs(context, k)
@@ -121,18 +121,15 @@ class ExternalScorer:
             "relation": k.relation,
             "tail": k.tails[0],
         }
+        if self.session is None:
+            self.session = new_session(1)
+        payload = post_json(self.session, self.url, body, timeout=self.timeout,
+                            max_attempts=1, backoff_base=0.0)
         try:
-            response = self.session.post(self.url, json=body, timeout=self.timeout)
-        except requests.RequestException as e:
-            raise TransportError(f"relevance endpoint unreachable: {e}") from e
-        if response.status_code != 200:
-            raise ApiError("relevance endpoint error", status=response.status_code,
-                           body=response.text)
-        try:
-            value = float(response.json()["relevance"])
+            value = float(payload["relevance"])
         except (ValueError, KeyError, TypeError) as e:
-            raise ApiError(f"malformed relevance response: {e}",
-                           status=response.status_code, body=response.text) from e
+            raise ApiError(f"malformed relevance response: {e!r}", status=200,
+                           body=str(payload)) from e
         return min(1.0, max(0.0, value)), False
 
     def score_all(self, context: str,

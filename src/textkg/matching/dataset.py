@@ -58,9 +58,6 @@ class MatcherDataset:
     def __getitem__(self, i):
         return self.examples[i]
 
-    def heads(self) -> list[str]:
-        return [ex.head for ex in self.examples]
-
     def group_counts(self) -> dict[str, int]:
         counts = {g: 0 for g in GROUPS}
         for ex in self.examples:

@@ -35,7 +35,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from ..errors import ParseError, UsageError
+from ..errors import ParseError, UsageError, not_utf8
 from ..tokenization import word_tokens
 
 BLOCK_ROWS = 4096  # rows per np.loadtxt call
@@ -59,10 +59,6 @@ class EmbeddingTable:
 
     def __len__(self) -> int:
         return len(self.vocab)
-
-    def vector(self, word: str) -> np.ndarray | None:
-        idx = self.vocab.get(word)
-        return None if idx is None else self.matrix[idx]
 
     def vocab_hash(self) -> str:
         """Stable fingerprint of the vocabulary and dimension, used to bind
@@ -122,8 +118,7 @@ class EmbeddingTable:
         except OSError as e:
             raise UsageError(f"cannot read embeddings file {path}: {e.strerror or e}") from e
         except UnicodeDecodeError as e:
-            line = _first_undecodable_line(path)
-            raise ParseError(f"not valid UTF-8: {e.reason}", line=line) from e
+            raise not_utf8(path, e) from e
         if not vocab:
             raise ParseError("embedding file is empty", line=1)
         return cls(vocab, np.concatenate(blocks))
@@ -185,13 +180,3 @@ def _parse_lines(lines: list[str], lineno: int, dim: int | None
         words.append(parts[0])
         rows.append(vec)
     return words, np.array(rows, dtype=np.float64).reshape(len(rows), dim or 0)
-
-
-def _first_undecodable_line(path) -> int:
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, line in enumerate(fh, 1):
-            try:
-                line.encode("utf-8")
-            except UnicodeEncodeError:
-                return lineno
-    return 1

@@ -1,4 +1,4 @@
-"""Fixed, versioned English stopword list used by the overlap-controlled
+"""Fixed English stopword list used by the overlap-controlled
 dataset resplit and the overlap report.
 
 Placeholder participant names (personx/persony/personz) are stopwords:
@@ -7,8 +7,6 @@ makes zero-overlap splits constructible at all.
 """
 
 from __future__ import annotations
-
-STOPWORDS_VERSION = "2024.1"
 
 STOPWORDS: frozenset[str] = frozenset("""
 a about above after again against all am an and any are aren as at be

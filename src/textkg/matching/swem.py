@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from ..core.relations import GROUPS
-from ..errors import ConfigurationError, ValidationError
+from ..errors import ConfigurationError, ParseError, ValidationError, not_utf8
 from .dataset import MatcherDataset
 from .embeddings import EmbeddingTable
 
@@ -87,10 +87,24 @@ class MatcherModel:
 
     @classmethod
     def load(cls, path, embeddings: EmbeddingTable) -> "MatcherModel":
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        """Read a model that :meth:`save` wrote. A file that is not
+        UTF-8 JSON holding an object with every saved key raises
+        ParseError."""
+        try:
+            payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        except UnicodeDecodeError as e:
+            raise not_utf8(path, e, f" in matcher model {path}") from e
+        except json.JSONDecodeError as e:
+            raise ParseError(f"invalid JSON in matcher model {path}: {e.msg}",
+                             line=e.lineno) from e
+        if not isinstance(payload, dict):
+            raise ParseError(f"matcher model {path} must hold a JSON object")
         if payload.get("format_version") != MODEL_FORMAT_VERSION:
             raise ConfigurationError(
                 f"unsupported model format {payload.get('format_version')!r}")
+        missing = [key for key in ("vocab_hash", "weights", "bias") if key not in payload]
+        if missing:
+            raise ParseError(f"matcher model {path} lacks {', '.join(missing)}")
         if payload["vocab_hash"] != embeddings.vocab_hash():
             raise ConfigurationError(
                 "model was trained with a different embedding vocabulary")

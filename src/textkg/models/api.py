@@ -6,28 +6,28 @@ of ``{text}`` choices (completion-API shape). Credentials come from the
 ``KOGITO_API_KEY`` environment variable (endpoint base from
 ``KOGITO_API_URL``) unless set explicitly.
 
-Transient transport failures are retried with exponential backoff up to
-a bounded attempt budget. Per-tuple API failures leave that tuple's tails
-empty and are reported as diagnostics instead of aborting the batch;
-connection-level failures raise, carrying the partial results.
+Requests go through :func:`textkg.transport.post_json` on the endpoint's
+one session, which retries connection errors and 5xx responses with
+exponential backoff up to a bounded attempt budget. Per-tuple API
+failures leave that tuple's tails empty and are reported as diagnostics
+instead of aborting the batch; connection-level failures raise, carrying
+the partial results. A rejected credential raises, and once one is seen
+no further request starts.
 """
 
 from __future__ import annotations
 
-import logging
 import os
-import time
+import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-
-import requests
+from dataclasses import dataclass, field
+from typing import Any
 
 from ..core.knowledge import KnowledgeGraph, KnowledgeTuple
 from ..core.relations import RelationRegistry, build_few_shot_prompt, default_registry
 from ..errors import ApiError, CredentialError, TransportError, ValidationError
+from ..transport import new_session, post_json
 from .base import DecodeConfig, GenerationFailure, KnowledgeModel
-
-logger = logging.getLogger(__name__)
 
 API_KEY_ENV = "KOGITO_API_KEY"
 API_URL_ENV = "KOGITO_API_URL"
@@ -62,6 +62,14 @@ class CompletionEndpoint:
     max_attempts: int = 3
     backoff_base: float = 0.5
     max_in_flight: int = 4
+    _session: Any = field(default=None, init=False, repr=False, compare=False)
+
+    def session(self):
+        """The endpoint's one HTTP session, made on first use and reused,
+        with its open connections, by every later request."""
+        if self._session is None:
+            self._session = new_session(self.max_in_flight)
+        return self._session
 
     def resolved_url(self) -> str:
         url = self.url or os.environ.get(API_URL_ENV)
@@ -84,14 +92,12 @@ def _truncate(text: str, stop_sequences: tuple[str, ...]) -> str:
     return text
 
 
-def complete_via_api(endpoint: CompletionEndpoint, req: CompletionRequest,
-                     session: requests.Session | None = None) -> list[str]:
+def complete_via_api(endpoint: CompletionEndpoint, req: CompletionRequest) -> list[str]:
     """POST the request and return ``n_samples`` completions, each
     truncated at the first stop sequence.
 
-    The credential is checked before any network call. Connection errors
-    and 5xx responses are retried up to ``max_attempts`` with exponential
-    backoff; other non-success statuses raise immediately.
+    The credential is checked before any network call. Retries and the
+    mapping of failures to errors are those of :func:`post_json`.
     """
     url = endpoint.resolved_url()
     key = endpoint.resolved_key()
@@ -102,45 +108,16 @@ def complete_via_api(endpoint: CompletionEndpoint, req: CompletionRequest,
         "stop": list(req.stop_sequences),
         "n": req.n_samples,
     }
-    headers = {"Authorization": f"Bearer {key}"}
-    own_session = session is None
-    session = session or requests.Session()
+    payload = post_json(endpoint.session(), url, body,
+                        headers={"Authorization": f"Bearer {key}"},
+                        timeout=endpoint.timeout, max_attempts=endpoint.max_attempts,
+                        backoff_base=endpoint.backoff_base)
     try:
-        last_error: Exception | None = None
-        for attempt in range(endpoint.max_attempts):
-            if attempt:
-                time.sleep(endpoint.backoff_base * (2 ** (attempt - 1)))
-            try:
-                response = session.post(url, json=body, headers=headers,
-                                        timeout=endpoint.timeout)
-            except requests.RequestException as e:
-                last_error = e
-                logger.debug("completion attempt %d failed: %s", attempt + 1, e)
-                continue
-            if response.status_code in (401, 403):
-                raise CredentialError(f"API rejected credentials (status {response.status_code})")
-            if 500 <= response.status_code < 600:
-                last_error = ApiError("server error", status=response.status_code,
-                                      body=response.text)
-                continue
-            if response.status_code != 200:
-                raise ApiError("unexpected response", status=response.status_code,
-                               body=response.text)
-            try:
-                payload = response.json()
-                choices = payload["choices"]
-                texts = [c["text"] for c in choices]
-            except (ValueError, KeyError, TypeError) as e:
-                raise ApiError(f"malformed response body: {e}",
-                               status=response.status_code, body=response.text) from e
-            return [_truncate(t, req.stop_sequences) for t in texts]
-        if isinstance(last_error, ApiError):
-            raise last_error
-        raise TransportError(f"endpoint unreachable after {endpoint.max_attempts} attempts: "
-                             f"{last_error}")
-    finally:
-        if own_session:
-            session.close()
+        texts = [c["text"] for c in payload["choices"]]
+    except (KeyError, TypeError) as e:
+        raise ApiError(f"malformed response body: {e!r}", status=200,
+                       body=str(payload)) from e
+    return [_truncate(t, req.stop_sequences) for t in texts]
 
 
 class CompletionAPIModel(KnowledgeModel):
@@ -168,13 +145,6 @@ class CompletionAPIModel(KnowledgeModel):
             return build_few_shot_prompt(rel, samples, tup.head)
         return self.registry.verbalize_name(tup.relation, tup.head.text)
 
-    def generate(self, partial: KnowledgeGraph,
-                 decode: DecodeConfig | None = None) -> KnowledgeGraph:
-        graph, failures = self.generate_with_diagnostics(partial, decode)
-        for f in failures:
-            logger.warning("tuple %d (%s, %s): %s", f.index, f.head, f.relation, f.error)
-        return graph
-
     def generate_with_diagnostics(
             self, partial: KnowledgeGraph,
             decode: DecodeConfig | None = None) -> tuple[KnowledgeGraph, list[GenerationFailure]]:
@@ -182,12 +152,15 @@ class CompletionAPIModel(KnowledgeModel):
         # fail before any network call when unconfigured
         self.endpoint.resolved_url()
         self.endpoint.resolved_key()
+        self.endpoint.session()  # made here, not raced for by the workers
         tuples = list(partial)
-        results: list[list[str] | Exception] = [[] for _ in tuples]
+        rejected = threading.Event()  # once set, no further request starts
 
-        def fetch(i: int) -> None:
+        def fetch(tup: KnowledgeTuple) -> list[str] | Exception:
+            if rejected.is_set():
+                return []
             req = CompletionRequest(
-                prompt=self.prompt_for(tuples[i]),
+                prompt=self.prompt_for(tup),
                 max_tokens=decode.max_tokens,
                 temperature=decode.temperature,
                 stop_sequences=tuple(decode.stop),
@@ -195,26 +168,26 @@ class CompletionAPIModel(KnowledgeModel):
             )
             try:
                 completions = complete_via_api(self.endpoint, req)
-                tails = []
-                for text in completions:
-                    tail = text.strip()
-                    if tail and tail not in tails:
-                        tails.append(tail)
-                results[i] = tails
-            except Exception as e:  # collected per tuple, classified below
-                results[i] = e
+            except Exception as e:  # returned per tuple, classified below
+                if isinstance(e, CredentialError):
+                    rejected.set()
+                return e
+            tails = []
+            for text in completions:
+                tail = text.strip()
+                if tail and tail not in tails:
+                    tails.append(tail)
+            return tails
 
-        max_workers = max(1, self.endpoint.max_in_flight)
-        if tuples:
-            with ThreadPoolExecutor(max_workers=max_workers) as pool:
-                list(pool.map(fetch, range(len(tuples))))
+        with ThreadPoolExecutor(max_workers=max(1, self.endpoint.max_in_flight)) as pool:
+            results = list(pool.map(fetch, tuples))
 
         failures: list[GenerationFailure] = []
         out = KnowledgeGraph()
         transport: TransportError | None = None
         for i, (tup, res) in enumerate(zip(tuples, results)):
             if isinstance(res, Exception):
-                if isinstance(res, (CredentialError,)):
+                if isinstance(res, CredentialError):
                     raise res
                 if isinstance(res, TransportError) and not isinstance(res, ApiError):
                     transport = res

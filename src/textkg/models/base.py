@@ -9,9 +9,12 @@ generation idempotent for deterministic backends.
 from __future__ import annotations
 
 import abc
+import logging
 from dataclasses import dataclass
 
 from ..core.knowledge import KnowledgeGraph
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass
@@ -33,18 +36,21 @@ class GenerationFailure:
 
 
 class KnowledgeModel(abc.ABC):
-    """Abstract knowledge model: concrete backends implement generate."""
+    """Abstract knowledge model: concrete backends implement
+    generate_with_diagnostics."""
 
     @abc.abstractmethod
-    def generate(self, partial: KnowledgeGraph,
-                 decode: DecodeConfig | None = None) -> KnowledgeGraph:
-        """Fill tails for every (head, relation) pair of ``partial``."""
-
     def generate_with_diagnostics(
             self, partial: KnowledgeGraph,
             decode: DecodeConfig | None = None) -> tuple[KnowledgeGraph, list[GenerationFailure]]:
-        """Like generate, also returning per-tuple failure records.
+        """Fill tails for every (head, relation) pair of ``partial``, and
+        return one failure record per tuple left without tails."""
 
-        Default implementation assumes no per-tuple failures.
-        """
-        return self.generate(partial, decode), []
+    def generate(self, partial: KnowledgeGraph,
+                 decode: DecodeConfig | None = None) -> KnowledgeGraph:
+        """Like generate_with_diagnostics, logging each failure as a
+        warning instead of returning it."""
+        graph, failures = self.generate_with_diagnostics(partial, decode)
+        for f in failures:
+            logger.warning("tuple %d (%s, %s): %s", f.index, f.head, f.relation, f.error)
+        return graph

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from ..core.knowledge import KnowledgeGraph
-from .base import DecodeConfig, KnowledgeModel
+from .base import DecodeConfig, GenerationFailure, KnowledgeModel
 
 
 class StubModel(KnowledgeModel):
@@ -12,8 +12,9 @@ class StubModel(KnowledgeModel):
     Pure and idempotent: regenerating overwrites tails identically.
     """
 
-    def generate(self, partial: KnowledgeGraph,
-                 decode: DecodeConfig | None = None) -> KnowledgeGraph:
+    def generate_with_diagnostics(
+            self, partial: KnowledgeGraph,
+            decode: DecodeConfig | None = None) -> tuple[KnowledgeGraph, list[GenerationFailure]]:
         return KnowledgeGraph(
             t.with_tails([f"to <stub:{t.relation}:{t.head.text}>"]) for t in partial
-        )
+        ), []

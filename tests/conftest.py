@@ -1,9 +1,11 @@
 """Shared fixtures: deterministic embedding tables and a configurable
-in-process HTTP server standing in for remote endpoints."""
+in-process HTTP server standing in for remote endpoints, in a one-request
+(HTTP/1.0) and a keep-alive (HTTP/1.1) flavour."""
 
 from __future__ import annotations
 
 import json
+import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -47,7 +49,7 @@ class _Handler(BaseHTTPRequestHandler):
         })
         behavior = self.server.state["behavior"]
         status, payload = behavior(self.server.state, body)
-        data = json.dumps(payload).encode("utf-8")
+        data = payload if isinstance(payload, bytes) else json.dumps(payload).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
@@ -58,10 +60,24 @@ class _Handler(BaseHTTPRequestHandler):
         pass
 
 
+class _KeepAliveHandler(_Handler):
+    """Serves many requests per connection and records the client port of
+    each connection it accepts. Nagle's algorithm is off, or the body
+    written after the headers would wait for the client's delayed ACK."""
+
+    protocol_version = "HTTP/1.1"
+
+    def setup(self):
+        super().setup()
+        self.connection.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self.server.state["client_ports"].append(self.client_address[1])
+
+
 class MockServer:
-    def __init__(self):
-        self.httpd = ThreadingHTTPServer(("127.0.0.1", 0), _Handler)
-        self.httpd.state = {"requests": [], "behavior": self.echo_behavior}
+    def __init__(self, handler=_Handler):
+        self.httpd = ThreadingHTTPServer(("127.0.0.1", 0), handler)
+        self.httpd.state = {"requests": [], "client_ports": [],
+                            "behavior": self.echo_behavior}
         self.thread = threading.Thread(target=self.httpd.serve_forever, daemon=True)
         self.thread.start()
 
@@ -74,8 +90,14 @@ class MockServer:
     def requests(self) -> list:
         return self.httpd.state["requests"]
 
+    @property
+    def client_ports(self) -> list:
+        """Client port of every connection accepted (keep-alive flavour only)."""
+        return self.httpd.state["client_ports"]
+
     def set_behavior(self, fn) -> None:
-        """fn(state, request_body) -> (status, payload)"""
+        """fn(state, request_body) -> (status, payload); a bytes payload
+        is sent as it is, anything else as JSON."""
         self.httpd.state["behavior"] = fn
 
     @staticmethod
@@ -91,5 +113,12 @@ class MockServer:
 @pytest.fixture()
 def mock_server():
     server = MockServer()
+    yield server
+    server.close()
+
+
+@pytest.fixture()
+def keepalive_server():
+    server = MockServer(_KeepAliveHandler)
     yield server
     server.close()

@@ -298,6 +298,45 @@ def test_malformed_json_file_exits_2_with_its_line(tmp_path, capsys, command, fl
     assert flag in err and str(bad) in err
 
 
+@pytest.mark.parametrize("content,line", [(b"\xff{}\n", 1), (b'[\n"caf\xe9"\n]\n', 2)],
+                         ids=["0xff-first", "latin-1-on-line-2"])
+@pytest.mark.parametrize("command,flag", INPUT_FILE_FLAGS)
+def test_non_utf8_file_exits_2_with_its_line(tmp_path, capsys, command, flag, content, line):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    code, out, err = run(capsys, *_missing_file_argv(command, flag, tmp_path, str(bad)))
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert f"line {line}: not valid UTF-8" in err and str(bad) in err
+
+
+@pytest.mark.parametrize("content", [[5], {"relations": 5}, [{"name": 5}],
+                                     [{"name": "x", "template": 5}]])
+@pytest.mark.parametrize("command", ["infer", "match", "filter"])
+def test_malformed_relations_config_exits_2_with_one_line(tmp_path, capsys, command,
+                                                          content):
+    bad = tmp_path / "rels.json"
+    bad.write_text(json.dumps(content))
+    argv = _missing_file_argv(command, "--custom-relations", tmp_path, str(bad))
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: relation config")
+
+
+@pytest.mark.parametrize("content", ["not json", "[1, 2]", '{"format_version": 1}'])
+@pytest.mark.parametrize("command", ["infer", "match"])
+def test_malformed_matcher_model_exits_2_with_one_line(tmp_path, capsys, command, content):
+    bad = tmp_path / "model.json"
+    bad.write_text(content)
+    code, out, err = run(capsys, *_missing_file_argv(command, "--model", tmp_path, str(bad)))
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert f"matcher model {bad}" in err
+
+
 @pytest.mark.parametrize("command,flag", [
     ("heads", "--config"), ("train-matcher", "--config"), ("resplit", "--config"),
     ("infer", "--seed"), ("heads", "--seed"), ("match", "--seed"),

@@ -11,7 +11,7 @@ from textkg.models.api import (
     CompletionRequest,
     complete_via_api,
 )
-from textkg.models.base import DecodeConfig
+from textkg.models.base import DecodeConfig, KnowledgeModel
 from textkg.models.stub import StubModel
 
 
@@ -232,3 +232,25 @@ def test_empty_partial_graph_passes_through(mock_server):
     model = CompletionAPIModel(CompletionEndpoint(url=mock_server.url, api_key="k"))
     out = model.generate(KnowledgeGraph())
     assert len(out) == 0
+
+
+def test_rejected_credential_stops_the_batch(mock_server):
+    mock_server.set_behavior(lambda state, body: (401, {"error": "bad key"}))
+    model = CompletionAPIModel(CompletionEndpoint(url=mock_server.url, api_key="wrong",
+                                                  max_in_flight=2))
+    graph = KnowledgeGraph([KnowledgeTuple(f"head {i}", "xNeed") for i in range(50)])
+    with pytest.raises(CredentialError):
+        model.generate(graph)
+    assert 1 <= len(mock_server.requests) <= 2
+
+
+def test_generate_is_the_base_wrapper_of_generate_with_diagnostics(mock_server, caplog):
+    assert KnowledgeModel.__abstractmethods__ == {"generate_with_diagnostics"}
+    mock_server.set_behavior(lambda state, body: (404, {"error": "no"}))
+    model = CompletionAPIModel(CompletionEndpoint(url=mock_server.url, api_key="k"))
+    with caplog.at_level("WARNING", logger="textkg.models.base"):
+        out = model.generate(partial_graph())
+    assert [t.tails for t in out] == [[], []]
+    messages = [r.getMessage() for r in caplog.records]
+    assert len(messages) == 2
+    assert messages[0].startswith("tuple 0 (X goes running, xNeed): unexpected response")
