@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Subcommands: infer, heads, match, train-matcher, resplit, eval, filter.
-Config precedence is CLI flags over config file over built-in defaults.
+Pipeline options come from ``textkg.pipeline.option`` declarations. A
+flag wins over the config file, over the subcommand's default, over the built-in one.
 Exit codes: 0 success, 2 usage/validation, 3 transport/credential,
 4 split infeasibility.
 """
@@ -22,7 +23,7 @@ from .extraction.heads import EXTRACTOR_NAMES, extract_heads
 from .filtering.relevance import filter_graph
 from .matching.dataset import MatcherDataset
 from .matching.embeddings import EmbeddingTable
-from .matching.matchers import MATCHER_NAMES, match_relations, pairs_to_graph
+from .matching.matchers import match_relations, pairs_to_graph
 from .matching.resplit import ResplitConfig, compute_overlap, resplit_dataset
 from .matching.swem import TrainConfig, train_swem_matcher
 from .metrics.scores import METRIC_NAMES, evaluate_model
@@ -58,9 +59,9 @@ def _reading(flag: str, path):
 
 
 def _read_text_arg(args) -> str:
-    if getattr(args, "text", None) is not None:
+    if args.text is not None:
         return args.text
-    if getattr(args, "input_file", None):
+    if args.input_file:
         with _reading("--input-file", args.input_file):
             return Path(args.input_file).read_text(encoding="utf-8")
     raise UsageError("provide --text or --input-file")
@@ -68,7 +69,7 @@ def _read_text_arg(args) -> str:
 
 def _load_registry(args):
     registry = default_registry()
-    if getattr(args, "custom_relations", None):
+    if args.custom_relations:
         with _reading("--custom-relations", args.custom_relations):
             for rel in load_relations_config(args.custom_relations):
                 registry.register(rel)
@@ -84,10 +85,10 @@ def _read_heads_file(path) -> list[str]:
     for item in data:
         if isinstance(item, str):
             heads.append(item)
-        elif isinstance(item, dict) and "head" in item:
+        elif isinstance(item, dict) and isinstance(item.get("head"), str):
             heads.append(item["head"])
         else:
-            raise UsageError("heads file must hold strings or objects with a 'head' key")
+            raise UsageError("heads file must hold strings or objects with a string 'head'")
     return heads
 
 
@@ -96,32 +97,18 @@ def _read_graph(path) -> KnowledgeGraph:
         return parse_graph(path, "jsonl", ParseOptions())
 
 
-def _build_config(args) -> pl.PipelineConfig:
+def _build_config(args, **defaults) -> pl.PipelineConfig:
+    """Flags given, over the ``--config`` file, over ``defaults``, over built-ins."""
     file_values: dict = {}
-    if getattr(args, "config", None):
+    if args.config:
         with _reading("--config", args.config):
             file_values = json.loads(Path(args.config).read_text(encoding="utf-8"))
         if not isinstance(file_values, dict):
             raise UsageError("config file must hold a JSON object")
-    overrides: dict = {}
-    for key in ("matcher", "backend", "filter", "threshold", "external_url",
-                "max_tokens", "temperature", "n_samples"):
-        value = getattr(args, key, None)
-        if value is not None:
-            overrides[key] = value
-    if getattr(args, "extractors", None):
-        overrides["extractors"] = [s.strip() for s in args.extractors.split(",")]
-    if getattr(args, "relations", None):
-        overrides["relations"] = [s.strip() for s in args.relations.split(",")]
-    if getattr(args, "heads", None):
-        overrides["heads"] = args.heads
-    if getattr(args, "model", None):
-        overrides["matcher_model"] = args.model
-    if getattr(args, "embeddings", None):
-        overrides["embeddings"] = args.embeddings
-    if getattr(args, "dry_run", False):
-        overrides["dry_run"] = True
-    return pl.PipelineConfig.from_mapping({**file_values, **overrides})
+    given = vars(args)
+    flags = {name: given[_dest(name)] for name in pl.OPTIONS
+             if _flag(name) and _dest(name) in given}
+    return pl.PipelineConfig.from_mapping({**defaults, **file_values, **flags})
 
 
 # ------------------------------------------------------------- commands
@@ -131,7 +118,7 @@ def cmd_infer(args) -> int:
     registry = _load_registry(args)
     if config.matcher == "model" and config.matcher_model:
         # Fail on an unreadable model before infer parses the embedding file.
-        with _reading("--model", config.matcher_model):
+        with _reading(_flag("matcher_model"), config.matcher_model):
             Path(config.matcher_model).open("rb").close()
     text = ""
     if args.text is not None or args.input_file:
@@ -143,9 +130,7 @@ def cmd_infer(args) -> int:
 
 def cmd_heads(args) -> int:
     text = _read_text_arg(args)
-    extractors = ([s.strip() for s in args.extractors.split(",")]
-                  if args.extractors else None)
-    found = extract_heads(text, extractors or EXTRACTOR_NAMES)
+    found = extract_heads(text, vars(args).get("extractors", EXTRACTOR_NAMES))
     _write_json([{"head": e.head.text, "form": e.form} for e in found], args.output)
     return 0
 
@@ -156,7 +141,7 @@ def cmd_match(args) -> int:
     config = _build_config(args)
     matcher_model = None
     if config.matcher == "model":
-        with _reading("--model", config.matcher_model):
+        with _reading(_flag("matcher_model"), config.matcher_model):
             matcher_model = pl.resolve_matcher_model(config)
     pairs = match_relations(heads, config.matcher, registry,
                             subset=config.relations, model=matcher_model)
@@ -192,18 +177,15 @@ def cmd_resplit(args) -> int:
 def cmd_eval(args) -> int:
     graph = _read_graph(args.graph)
     config = _build_config(args)
-    registry = _load_registry(args)
-    model = pl.resolve_model(config, registry)
-    metrics = ([s.strip() for s in args.metrics.split(",")]
-               if args.metrics else list(METRIC_NAMES))
-    report = evaluate_model(model, graph, metrics, config.decode)
+    model = pl.resolve_model(config)
+    report = evaluate_model(model, graph, args.metrics or list(METRIC_NAMES), config.decode)
     _write_json(report.to_dict(), args.out or args.output)
     return 0
 
 
 def cmd_filter(args) -> int:
     graph = _read_graph(args.graph)
-    config = _build_config(args)
+    config = _build_config(args, filter="embedding")
     registry = _load_registry(args)
     scorer = pl.resolve_scorer(config, registry)
     kept, judgments = filter_graph(graph, args.context, config.threshold, scorer,
@@ -227,69 +209,83 @@ def cmd_filter(args) -> int:
 
 # -------------------------------------------------------------- parser
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--output", help="output path (default: stdout)")
-    common.add_argument("--json-errors", action="store_true",
-                        help="emit machine-readable errors on stderr")
-    configured = argparse.ArgumentParser(add_help=False, parents=[common])
-    configured.add_argument("--config", help="JSON config file mirroring the pipeline options")
-    seeded = argparse.ArgumentParser(add_help=False, parents=[common])
-    seeded.add_argument("--seed", type=int, default=0, help="random seed")
+def _flag(name: str) -> str | None:
+    return pl.OPTIONS[name].metadata.get("flag")
 
+
+def _dest(name: str) -> str:  # shared by an option's flag and its alias
+    return _flag(name)[2:].replace("-", "_")
+
+
+def _comma_list(value: str) -> list[str]:
+    return [s.strip() for s in value.split(",")]
+
+
+def _add_options(p, command: str, *names: str, **overrides) -> None:
+    """Add the flags of the named options to subcommand ``p``, as spelled
+    for ``command``. A flag not given stays out of the parsed namespace,
+    so it never hides a config-file value."""
+    for name in names:
+        meta = pl.OPTIONS[name].metadata
+        kwargs = {"dest": _dest(name), "default": argparse.SUPPRESS, "help": meta.get("help"),
+                  **{key: meta[key] for key in ("choices", "nargs") if key in meta},
+                  **overrides.get(name, {})}
+        if meta["type"] is bool:
+            kwargs["action"] = "store_true"
+        elif meta["type"] is not tuple or meta.get("comma"):  # --heads takes words as given
+            kwargs["type"] = _comma_list if meta.get("comma") else meta["type"]
+        p.add_argument(meta.get("aliases", {}).get(command, meta["flag"]), **kwargs)
+
+
+# flags that several subcommands share, built once and copied into each parser
+_common = argparse.ArgumentParser(add_help=False)
+_common.add_argument("--output", help="output path (default: stdout)")
+_common.add_argument("--json-errors", action="store_true",
+                     help="emit machine-readable errors on stderr")
+_configured = argparse.ArgumentParser(add_help=False, parents=[_common])
+_configured.add_argument("--config", help="JSON config file mirroring the pipeline options")
+_seeded = argparse.ArgumentParser(add_help=False, parents=[_common])
+_seeded.add_argument("--seed", type=int, default=0, help="random seed")
+_text = argparse.ArgumentParser(add_help=False)
+_text.add_argument("--text")
+_text.add_argument("--input-file")
+_custom = argparse.ArgumentParser(add_help=False)
+_custom.add_argument("--custom-relations", help="JSON file of custom relation definitions")
+
+
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="textkg",
                                      description="Text to commonsense knowledge graphs.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("infer", parents=[configured],
+    p = sub.add_parser("infer", parents=[_configured, _text, _custom],
                        help="run the full pipeline on a text")
-    p.add_argument("--text")
-    p.add_argument("--input-file")
-    p.add_argument("--heads", nargs="+", help="explicit heads (bypass extraction)")
-    p.add_argument("--extractors", help="comma list: sentence,noun_phrase,verb_phrase")
-    p.add_argument("--matcher", choices=MATCHER_NAMES)
-    p.add_argument("--model", help="trained matcher model path")
-    p.add_argument("--embeddings", help="embedding text file")
-    p.add_argument("--relations", help="comma list restricting relations")
-    p.add_argument("--backend", choices=pl.BACKENDS)
-    p.add_argument("--max-tokens", type=int, dest="max_tokens")
-    p.add_argument("--temperature", type=float)
-    p.add_argument("--n-samples", type=int, dest="n_samples")
-    p.add_argument("--filter", choices=pl.FILTER_MODES)
-    p.add_argument("--threshold", type=float)
-    p.add_argument("--external-url", dest="external_url")
-    p.add_argument("--custom-relations", help="JSON file of custom relation definitions")
-    p.add_argument("--dry-run", action="store_true",
-                   help="skip generation; emit (head, relation) pairs with empty tails")
+    _add_options(p, "infer", "heads", "extractors", "matcher", "matcher_model", "embeddings",
+                 "relations", "backend", "max_tokens", "temperature", "n_samples", "filter",
+                 "threshold", "external_url", "dry_run")
     p.set_defaults(func=cmd_infer)
 
-    p = sub.add_parser("heads", parents=[common], help="extract candidate heads")
-    p.add_argument("--text")
-    p.add_argument("--input-file")
-    p.add_argument("--extractors", help="comma list: sentence,np,vp")
+    p = sub.add_parser("heads", parents=[_common, _text], help="extract candidate heads")
+    _add_options(p, "heads", "extractors")
     p.set_defaults(func=cmd_heads)
 
-    p = sub.add_parser("match", parents=[configured], help="match relations to heads")
+    p = sub.add_parser("match", parents=[_configured, _custom], help="match relations to heads")
     p.add_argument("--heads-file", required=True,
                    help="JSON list of head strings or {head} objects")
-    p.add_argument("--matcher", choices=MATCHER_NAMES, default="heuristic")
-    p.add_argument("--model", help="trained matcher model path")
-    p.add_argument("--embeddings", help="embedding text file (model matcher)")
-    p.add_argument("--relations", help="comma list restricting relations")
-    p.add_argument("--custom-relations", help="JSON file of custom relation definitions")
+    _add_options(p, "match", "matcher", "matcher_model", "embeddings", "relations")
     p.set_defaults(func=cmd_match)
 
-    p = sub.add_parser("train-matcher", parents=[seeded],
+    p = sub.add_parser("train-matcher", parents=[_seeded],
                        help="train the embedding-projection matcher")
     p.add_argument("--train", required=True, help="jsonl dataset of labeled heads")
-    p.add_argument("--embeddings", required=True, help="embedding text file")
+    _add_options(p, "train-matcher", "embeddings", embeddings={"required": True})
     p.add_argument("--epochs", type=int, default=20)
     p.add_argument("--batch-size", type=int, default=64)
     p.add_argument("--lr", type=float, default=1e-3)
     p.add_argument("--out", required=True, help="model output path")
     p.set_defaults(func=cmd_train_matcher)
 
-    p = sub.add_parser("resplit", parents=[seeded],
+    p = sub.add_parser("resplit", parents=[_seeded],
                        help="overlap-controlled train/test resplit")
     p.add_argument("--input", required=True, help="jsonl pool of labeled heads")
     p.add_argument("--n", type=int, required=True,
@@ -300,24 +296,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", action="store_true", help="print the overlap report")
     p.set_defaults(func=cmd_resplit)
 
-    p = sub.add_parser("eval", parents=[configured], help="score a backend against references")
-    p.add_argument("--model", dest="backend", choices=pl.BACKENDS, default="stub")
+    p = sub.add_parser("eval", parents=[_configured], help="score a backend against references")
+    _add_options(p, "eval", "backend")
     p.add_argument("--graph", required=True, help="jsonl reference graph")
-    p.add_argument("--metrics", help=f"comma list of {','.join(METRIC_NAMES)}")
+    p.add_argument("--metrics", type=_comma_list, help=f"comma list of {','.join(METRIC_NAMES)}")
     p.add_argument("--out", help="report output path")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("filter", parents=[configured], help="filter a graph by relevance")
+    p = sub.add_parser("filter", parents=[_configured, _custom],
+                       help="filter a graph by relevance")
     p.add_argument("--graph", required=True, help="jsonl graph to filter")
     p.add_argument("--context", required=True)
-    p.add_argument("--threshold", type=float)
-    p.add_argument("--scorer", dest="filter", default="embedding",
-                   choices=[m for m in pl.FILTER_MODES if m != "off"])
-    p.add_argument("--embeddings", help="embedding text file (embedding scorer)")
-    p.add_argument("--external-url", dest="external_url")
+    _add_options(p, "filter", "threshold", "filter", "embeddings", "external_url",
+                 filter={"choices": [m for m in pl.FILTER_MODES if m != "off"]})
     p.add_argument("--out", help="kept-graph output path")
     p.add_argument("--judgments", help="per-tuple judgments output path (jsonl)")
-    p.add_argument("--custom-relations", help="JSON file of custom relation definitions")
     p.set_defaults(func=cmd_filter)
 
     return parser

@@ -258,9 +258,13 @@ def _parse_jsonl(stream: IO[str], opts: ParseOptions) -> KnowledgeGraph:
         tails = record.get(opts.tails_key) or []
         if isinstance(tails, str):
             tails = [tails]
+        if not (isinstance(head, str) and isinstance(relation, str)):
+            raise ParseError("head and relation must be strings", line=lineno)
+        if not (isinstance(tails, list) and all(isinstance(t, str) for t in tails)):
+            raise ParseError("tails must be a string or a list of strings", line=lineno)
         try:
             graph.append(KnowledgeTuple(head, relation, tails))
-        except (ValidationError, TypeError) as e:
+        except ValidationError as e:
             raise ParseError(str(e), line=lineno) from e
     return graph
 

@@ -12,10 +12,10 @@ answers ``{"relevance": p}``, one request per tuple, through
 graph; a custom scorer implements that method (see
 :class:`RelevanceScorer`). It returns one entry per tuple, in order:
 ``(score, flagged)``, or the :class:`TransportError` or
-:class:`ValidationError` that scoring that tuple raised. Any other
-exception ends the call and propagates. Filtering is fail-open by
-default: a tuple whose entry is an error is kept and flagged rather
-than dropped.
+:class:`ValidationError` that scoring that tuple raised. A
+:class:`CredentialError` (a rejected credential) or any other exception
+ends the call and propagates. Filtering is fail-open by default: a tuple
+whose entry is an error is kept and flagged rather than dropped.
 """
 
 from __future__ import annotations
@@ -26,7 +26,8 @@ from typing import Protocol, Sequence
 
 from ..core.knowledge import KnowledgeGraph, KnowledgeTuple
 from ..core.relations import RelationRegistry, default_registry
-from ..errors import ApiError, TransportError, UsageError, ValidationError
+from ..errors import (ApiError, CredentialError, TransportError, UsageError,
+                      ValidationError)
 from ..matching.embeddings import EmbeddingTable
 from ..transport import new_session, post_json
 
@@ -51,7 +52,8 @@ class RelevanceScorer(Protocol):
     def score_all(self, context: str,
                   tuples: Sequence[KnowledgeTuple]) -> list[ScoreResult]:
         """Return, per tuple and in order, (score in [0, 1], flagged) or
-        the TransportError or ValidationError raised for that tuple."""
+        the TransportError or ValidationError raised for that tuple; raise
+        a CredentialError."""
         ...
 
 
@@ -138,6 +140,8 @@ class ExternalScorer:
         for k in tuples:
             try:
                 results.append(self.score(context, k))
+            except CredentialError:
+                raise  # every later request would be rejected too
             except (TransportError, ValidationError) as e:
                 results.append(e)
         return results

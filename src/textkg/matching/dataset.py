@@ -78,7 +78,14 @@ class MatcherDataset:
                     continue
                 try:
                     record = json.loads(line)
-                    ds.add(LabeledHead(record["head"], frozenset(record["labels"])))
+                    if not isinstance(record, dict):
+                        raise ValidationError("record is not a JSON object")
+                    head, labels = record["head"], record["labels"]
+                    if not isinstance(head, str):
+                        raise ValidationError("'head' must be a string")
+                    if not (isinstance(labels, list) and all(isinstance(g, str) for g in labels)):
+                        raise ValidationError("'labels' must be a list of strings")
+                    ds.add(LabeledHead(head, frozenset(labels)))
                 except json.JSONDecodeError as e:
                     raise ParseError(f"invalid JSON: {e.msg}", line=lineno) from e
                 except KeyError as e:

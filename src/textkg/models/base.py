@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import abc
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from ..core.knowledge import KnowledgeGraph
 
@@ -19,10 +19,12 @@ logger = logging.getLogger(__name__)
 
 @dataclass
 class DecodeConfig:
-    max_tokens: int = 24
-    temperature: float = 0.0
-    stop: tuple[str, ...] = ("\n",)
-    n_samples: int = 1
+    # Each field is also a config key, declared as textkg.pipeline.option
+    # declares them: the type a config file must give, and the CLI flag.
+    max_tokens: int = field(default=24, metadata={"type": int, "flag": "--max-tokens"})
+    temperature: float = field(default=0.0, metadata={"type": float, "flag": "--temperature"})
+    stop: tuple[str, ...] = field(default=("\n",), metadata={"type": tuple})
+    n_samples: int = field(default=1, metadata={"type": int, "flag": "--n-samples"})
 
 
 @dataclass

@@ -8,8 +8,9 @@ Stage failures propagate wrapped in :class:`StageError` naming the stage.
 
 from __future__ import annotations
 
+import json
 import logging
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from typing import Optional, Sequence
 
 from .core.knowledge import KnowledgeGraph, KnowledgeHead
@@ -30,21 +31,33 @@ FILTER_MODES = ("off", "embedding", "external")
 BACKENDS = ("stub", "api")
 
 
+def option(default, type, flag=None, help=None, **cli):
+    """A config key whose value must be a ``type`` (str, int, float, bool, or
+    tuple: a list of strings), and a CLI ``flag`` if given. ``cli`` may add
+    choices, nargs, comma=True (a comma-list flag) and aliases ({subcommand: flag})."""
+    return field(default=default, metadata={"type": type, "flag": flag, "help": help, **cli})
+
+
 @dataclass
 class PipelineConfig:
-    extractors: tuple[str, ...] = EXTRACTOR_NAMES
-    matcher: str = "heuristic"
-    matcher_model: Optional[str] = None  # path to a trained matcher model
-    embeddings: Optional[str] = None  # path to the embedding text file
-    relations: Optional[tuple[str, ...]] = None  # restrict to this subset
-    backend: str = "stub"
-    decode: DecodeConfig = field(default_factory=DecodeConfig)
-    filter: str = "off"
-    threshold: float = 0.5
-    external_url: Optional[str] = None
-    dry_run: bool = False
-    heads: Optional[tuple[str, ...]] = None  # explicit heads bypass extraction
-    fail_closed: bool = False
+    extractors: tuple[str, ...] = option(EXTRACTOR_NAMES, tuple, "--extractors", comma=True,
+                                         help="comma list: sentence,noun_phrase,verb_phrase")
+    matcher: str = option("heuristic", str, "--matcher", choices=MATCHER_NAMES)
+    matcher_model: Optional[str] = option(None, str, "--model", help="trained matcher model path")
+    embeddings: Optional[str] = option(None, str, "--embeddings", help="embedding text file")
+    relations: Optional[tuple[str, ...]] = option(None, tuple, "--relations", comma=True,
+                                                  help="comma list restricting relations")
+    backend: str = option("stub", str, "--backend", choices=BACKENDS, aliases={"eval": "--model"})
+    decode: DecodeConfig = field(default_factory=DecodeConfig)  # its keys sit flat in a file
+    filter: str = option("off", str, "--filter", choices=FILTER_MODES,
+                         aliases={"filter": "--scorer"})
+    threshold: float = option(0.5, float, "--threshold")
+    external_url: Optional[str] = option(None, str, "--external-url")
+    dry_run: bool = option(False, bool, "--dry-run",
+                           help="skip generation; emit (head, relation) pairs with empty tails")
+    heads: Optional[tuple[str, ...]] = option(None, tuple, "--heads", nargs="+",
+                                              help="explicit heads (bypass extraction)")
+    fail_closed: bool = option(False, bool)
 
     def __post_init__(self):
         if self.matcher not in MATCHER_NAMES:
@@ -56,24 +69,34 @@ class PipelineConfig:
 
     @classmethod
     def from_mapping(cls, data: dict) -> "PipelineConfig":
-        """Build a config from a flat key/value mapping (config file)."""
-        kwargs = {}
-        decode_kwargs = {}
+        """Build a config from a flat key/value mapping (config file),
+        checking each value against its option's declared type."""
+        kwargs, decode = {}, {}
         for key, value in data.items():
-            if key in ("max_tokens", "temperature", "n_samples"):
-                decode_kwargs[key] = value
-            elif key == "stop":
-                decode_kwargs["stop"] = tuple(value)
-            elif key in ("extractors", "relations", "heads"):
-                kwargs[key] = tuple(value) if value is not None else None
-            elif key in {f.name for f in fields(cls)}:
-                kwargs[key] = value
-            else:
+            if key not in OPTIONS:
                 raise UsageError(f"unknown config key {key!r}")
-        config = cls(**kwargs)
-        if decode_kwargs:
-            config.decode = replace(config.decode, **decode_kwargs)
-        return config
+            f, kind = OPTIONS[key], OPTIONS[key].metadata["type"]
+            if value is not None or f.default is not None:  # None is fine where it is the default
+                expected, fits = _KINDS[kind]
+                if not fits(value):
+                    raise UsageError(f"config key {key!r} must be {expected}, "
+                                     f"got {json.dumps(value, default=repr)}")
+                value = kind(value)
+            (decode if f in fields(DecodeConfig) else kwargs)[key] = value
+        return cls(**kwargs, decode=DecodeConfig(**decode))
+
+
+# the JSON values each declared type takes: an int is also a float, a bool is neither
+_KINDS = {
+    str: ("a string", lambda v: type(v) is str),
+    int: ("an integer", lambda v: type(v) is int),
+    float: ("a number", lambda v: type(v) in (int, float)),
+    bool: ("true or false", lambda v: type(v) is bool),
+    tuple: ("a list of strings",
+            lambda v: type(v) in (list, tuple) and all(type(s) is str for s in v)),
+}
+# every config key, PipelineConfig's and DecodeConfig's, by name
+OPTIONS = {f.name: f for cls in (PipelineConfig, DecodeConfig) for f in fields(cls) if f.metadata}
 
 
 def _load_embeddings(config: PipelineConfig) -> EmbeddingTable:

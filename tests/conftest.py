@@ -78,7 +78,9 @@ class MockServer:
         self.httpd = ThreadingHTTPServer(("127.0.0.1", 0), handler)
         self.httpd.state = {"requests": [], "client_ports": [],
                             "behavior": self.echo_behavior}
-        self.thread = threading.Thread(target=self.httpd.serve_forever, daemon=True)
+        # a short poll interval keeps shutdown() from waiting out the default 0.5 s
+        self.thread = threading.Thread(target=self.httpd.serve_forever,
+                                       kwargs={"poll_interval": 0.01}, daemon=True)
         self.thread.start()
 
     @property

@@ -358,3 +358,99 @@ def test_heads_file_must_hold_a_list(tmp_path, capsys, content):
     assert code == 2
     assert out == ""
     assert err == "error: heads file must hold a JSON list\n"
+
+
+@pytest.mark.parametrize("content", [[{"head": 5}], [{"head": None}], [["hammer"]]])
+def test_heads_file_entries_must_be_strings(tmp_path, capsys, content):
+    heads_file = tmp_path / "heads.json"
+    heads_file.write_text(json.dumps(content))
+    code, out, err = run(capsys, "match", "--heads-file", str(heads_file))
+    assert code == 2
+    assert out == ""
+    assert err == "error: heads file must hold strings or objects with a string 'head'\n"
+
+
+@pytest.mark.parametrize("record,message", [
+    ({"head": 5, "relation": "xNeed", "tails": ["t"]}, "head and relation must be strings"),
+    ({"head": "h", "relation": 5, "tails": ["t"]}, "head and relation must be strings"),
+    ({"head": "h", "relation": "xNeed", "tails": [5]}, "tails must be a string or a list"),
+    ({"head": "h", "relation": "xNeed", "tails": 5}, "tails must be a string or a list"),
+    ({"head": "h", "relation": "xNeed", "tails": {"a": "b"}}, "tails must be a string or a"),
+])
+def test_eval_graph_values_must_be_strings(tmp_path, capsys, record, message):
+    graph = tmp_path / "g.jsonl"
+    graph.write_text(json.dumps({"head": "ok", "relation": "xNeed", "tails": ["t"]}) + "\n"
+                     + json.dumps(record) + "\n")
+    code, out, err = run(capsys, "eval", "--graph", str(graph))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: line 2: {message}") and err.count("\n") == 1
+
+
+MALFORMED_RECORDS = [
+    ("5", "record is not a JSON object"),
+    ('["x", ["physical"]]', "record is not a JSON object"),
+    ("null", "record is not a JSON object"),
+    ('{"head": 5, "labels": ["physical"]}', "'head' must be a string"),
+    ('{"head": "x", "labels": 5}', "'labels' must be a list of strings"),
+    ('{"head": "x", "labels": "physical"}', "'labels' must be a list of strings"),
+    ('{"head": "x", "labels": [["physical"]]}', "'labels' must be a list of strings"),
+    ('{"head": "x", "labels": {"physical": 1}}', "'labels' must be a list of strings"),
+]
+
+
+@pytest.mark.parametrize("record,message", MALFORMED_RECORDS)
+@pytest.mark.parametrize("command", ["train-matcher", "resplit"])
+def test_matcher_dataset_records_are_type_checked(tmp_path, capsys, command, record, message):
+    pool = tmp_path / "pool.jsonl"
+    pool.write_text('{"head": "ok", "labels": ["social"]}\n' + record + "\n")
+    emb = tmp_path / "emb.txt"
+    emb.write_text("ok 1.0 0.0\n")
+    out_paths = [str(tmp_path / name) for name in ("a", "b")]
+    argv = {"train-matcher": ["train-matcher", "--train", str(pool), "--embeddings", str(emb),
+                              "--out", out_paths[0]],
+            "resplit": ["resplit", "--input", str(pool), "--n", "0",
+                        "--out-train", out_paths[0], "--out-test", out_paths[1]]}[command]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: line 2: {message}\n"
+
+
+def test_rejected_relevance_credential_exits_3(tmp_path, capsys, mock_server):
+    mock_server.set_behavior(lambda state, body: (401, {"error": "bad key"}))
+    graph = tmp_path / "g.jsonl"
+    KnowledgeGraph([KnowledgeTuple(f"h{i}", "xNeed", ["t"]) for i in range(20)]).to_jsonl(graph)
+    code, out, err = run(capsys, "filter", "--graph", str(graph), "--context", "ctx",
+                         "--scorer", "external", "--external-url", mock_server.url)
+    assert code == 3
+    assert out == ""
+    assert err.count("\n") == 1 and "status 401" in err
+    assert len(mock_server.requests) == 1
+    code, out, err = run(capsys, "infer", "--text", TEXT, "--filter", "external",
+                         "--external-url", mock_server.url)
+    assert code == 3
+    assert out == ""
+    assert err.count("\n") == 1 and "status 401" in err
+    assert len(mock_server.requests) == 2
+
+
+MALFORMED_CONTENTS = [
+    b"", b"\xff", b"5", b"null", b'"str"', b"{}", b"[1, 2]\n", b'[{"head": 5}]',
+    b'{"extractors": 5}', b'{"relations": [5]}', b'{"threshold": "high"}', b'{"dry_run": "yes"}',
+    b'{"matcher": 5}', b'[{"name": "x", "group": 5}]', b'{"head": "x", "labels": 5}\n',
+    b'{"head": "x", "labels": [["physical"]]}\n',
+    b'{"head": 5, "relation": "r", "tails": ["t"]}\n',
+    b'{"head": "h", "relation": "xNeed", "tails": [5]}\n',
+]
+
+
+@pytest.mark.parametrize("content", MALFORMED_CONTENTS)
+@pytest.mark.parametrize("command,flag", INPUT_FILE_FLAGS)
+def test_any_file_content_ends_in_an_exit_code(tmp_path, capsys, command, flag, content):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    code, _, err = run(capsys, *_missing_file_argv(command, flag, tmp_path, str(bad)))
+    assert code in (0, 2, 3, 4)
+    if code:
+        assert err.count("\n") == 1 and err.startswith("error: ")

@@ -5,7 +5,7 @@ import pytest
 
 from textkg.core.knowledge import KnowledgeGraph, KnowledgeTuple
 from textkg.core.relations import RelationRegistry
-from textkg.errors import UsageError, ValidationError
+from textkg.errors import CredentialError, UsageError, ValidationError
 from textkg.filtering.relevance import (
     EmbeddingCosineScorer,
     ExternalScorer,
@@ -217,3 +217,23 @@ def test_scorer_must_return_one_result_per_tuple():
     _, graph = fixture_graph()
     with pytest.raises(ValueError):
         filter_graph(graph, "alpha", 0.5, ShortScorer())
+
+
+def test_tuple_scoring_exactly_the_threshold_is_kept():
+    class FixedScorer:
+        def score_all(self, context, tuples):
+            return [(0.5, False)] * len(tuples)
+
+    _, graph = fixture_graph()
+    kept, judgments = filter_graph(graph, "alpha", 0.5, FixedScorer())
+    assert kept.tuples == graph.tuples
+    assert all(j.keep for j in judgments)
+
+
+@pytest.mark.parametrize("status", [401, 403])
+def test_rejected_relevance_credential_stops_the_filter(mock_server, status):
+    mock_server.set_behavior(lambda state, body: (status, {"error": "bad key"}))
+    graph = KnowledgeGraph([KnowledgeTuple(f"h{i}", "r", ["t"]) for i in range(20)])
+    with pytest.raises(CredentialError):
+        filter_graph(graph, "ctx", 0.5, ExternalScorer(mock_server.url))
+    assert len(mock_server.requests) == 1

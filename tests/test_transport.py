@@ -6,8 +6,9 @@ import time
 
 import pytest
 
+from textkg import transport
 from textkg.core.knowledge import KnowledgeGraph, KnowledgeTuple
-from textkg.errors import ApiError
+from textkg.errors import ApiError, TransportError
 from textkg.filtering.relevance import ExternalScorer, filter_graph
 from textkg.models.api import (
     CompletionAPIModel,
@@ -89,3 +90,21 @@ def test_malformed_relevance_body_flags_the_tuple(mock_server, payload):
     kept, judgments = filter_graph(graph, "ctx", 0.5, ExternalScorer(mock_server.url))
     assert len(kept) == 1
     assert judgments[0].flagged and "status 200" in judgments[0].note
+
+
+def test_retries_sleep_twice_as_long_each_time(mock_server, monkeypatch):
+    mock_server.set_behavior(lambda state, body: (503, {"error": "busy"}))
+    sleeps = []
+    monkeypatch.setattr(transport.time, "sleep", sleeps.append)
+    with pytest.raises(ApiError):
+        transport.post_json(transport.new_session(1), mock_server.url, {}, timeout=5.0,
+                            max_attempts=4, backoff_base=0.25)
+    assert sleeps == [0.25, 0.5, 1.0]
+    assert len(mock_server.requests) == 4
+
+
+def test_unreachable_endpoint_error_counts_the_attempts():
+    with pytest.raises(TransportError) as err:
+        transport.post_json(transport.new_session(1), "http://127.0.0.1:9/complete", {},
+                            timeout=0.3, max_attempts=3, backoff_base=0.0)
+    assert str(err.value).startswith("endpoint unreachable after 3 attempt(s): ")
