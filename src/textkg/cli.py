@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from pathlib import Path
 
 from . import pipeline as pl
@@ -177,8 +177,9 @@ def cmd_resplit(args) -> int:
 def cmd_eval(args) -> int:
     graph = _read_graph(args.graph)
     config = _build_config(args)
-    model = pl.resolve_model(config)
-    report = evaluate_model(model, graph, args.metrics or list(METRIC_NAMES), config.decode)
+    with ExitStack() as stack:
+        model = pl.closed_with(stack, pl.resolve_model(config))
+        report = evaluate_model(model, graph, args.metrics or list(METRIC_NAMES), config.decode)
     _write_json(report.to_dict(), args.out or args.output)
     return 0
 
@@ -187,9 +188,10 @@ def cmd_filter(args) -> int:
     graph = _read_graph(args.graph)
     config = _build_config(args, filter="embedding")
     registry = _load_registry(args)
-    scorer = pl.resolve_scorer(config, registry)
-    kept, judgments = filter_graph(graph, args.context, config.threshold, scorer,
-                                   fail_open=not config.fail_closed)
+    with ExitStack() as stack:
+        scorer = pl.closed_with(stack, pl.resolve_scorer(config, registry))
+        kept, judgments = filter_graph(graph, args.context, config.threshold, scorer,
+                                       fail_open=not config.fail_closed)
     _write_output(serialize_graph(kept, "jsonl"), args.out or args.output)
     if args.judgments:
         lines = []

@@ -6,7 +6,9 @@ cosine, mapped to [0, 1] via (cos + 1) / 2. It pools the context once
 per call and all facts together. A pluggable external scorer posts
 ``{context, head, relation, tail}`` to a classifier endpoint that
 answers ``{"relevance": p}``, one request per tuple, through
-:func:`textkg.transport.post_json` with no retry.
+:func:`textkg.transport.post_json` with no retry. It sends the first
+tuple alone, then up to ``max_in_flight`` requests at once, and returns
+the results in tuple order.
 
 :func:`filter_graph` makes one ``score_all(context, tuples)`` call per
 graph; a custom scorer implements that method (see
@@ -21,6 +23,7 @@ whose entry is an error is kept and flagged rather than dropped.
 from __future__ import annotations
 
 import logging
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Protocol, Sequence
 
@@ -107,13 +110,32 @@ class EmbeddingCosineScorer:
 
 
 class ExternalScorer:
-    """Delegates scoring to a fact-linking classifier endpoint, one
-    request at a time on one session, with no retry."""
+    """Delegates scoring to a fact-linking classifier endpoint, with no
+    retry, on one session made on the first request.
 
-    def __init__(self, url: str, timeout: float = 30.0):
+    ``score_all`` sends the first tuple alone, so that a rejected
+    credential costs one request, then the rest with up to
+    ``max_in_flight`` in flight; results keep the tuple order. After a
+    CredentialError no new request starts, and it is raised once the
+    requests in flight have ended.
+    """
+
+    def __init__(self, url: str, timeout: float = 30.0, max_in_flight: int = 4):
         self.url = url
         self.timeout = timeout
+        self.max_in_flight = max_in_flight
         self.session = None  # made on first use
+
+    def __enter__(self) -> "ExternalScorer":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Close the idle connections; a later request opens a new one."""
+        if self.session is not None:
+            self.session.close()
 
     def score(self, context: str, k: KnowledgeTuple) -> tuple[float, bool]:
         _check_inputs(context, k)
@@ -124,7 +146,7 @@ class ExternalScorer:
             "tail": k.tails[0],
         }
         if self.session is None:
-            self.session = new_session(1)
+            self.session = new_session(self.max_in_flight)
         payload = post_json(self.session, self.url, body, timeout=self.timeout,
                             max_attempts=1, backoff_base=0.0)
         try:
@@ -136,14 +158,26 @@ class ExternalScorer:
 
     def score_all(self, context: str,
                   tuples: Sequence[KnowledgeTuple]) -> list[ScoreResult]:
-        results: list[ScoreResult] = []
-        for k in tuples:
+        rejected: list[CredentialError] = []  # once filled, no further request starts
+
+        def one(k: KnowledgeTuple) -> ScoreResult | None:
+            if rejected:
+                return None
             try:
-                results.append(self.score(context, k))
-            except CredentialError:
-                raise  # every later request would be rejected too
+                return self.score(context, k)  # looked up here: callers may wrap it
+            except CredentialError as e:
+                rejected.append(e)
             except (TransportError, ValidationError) as e:
-                results.append(e)
+                return e
+
+        results = [one(k) for k in tuples[:1]]
+        if len(tuples) > 1 and not rejected:
+            if self.session is None:  # made here, not raced for by the workers
+                self.session = new_session(self.max_in_flight)
+            with ThreadPoolExecutor(max_workers=max(1, self.max_in_flight)) as pool:
+                results += pool.map(one, tuples[1:])
+        if rejected:
+            raise rejected[0]
         return results
 
 

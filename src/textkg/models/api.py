@@ -71,6 +71,17 @@ class CompletionEndpoint:
             self._session = new_session(self.max_in_flight)
         return self._session
 
+    def close(self) -> None:
+        """Close the idle connections; a later request opens a new one."""
+        if self._session is not None:
+            self._session.close()
+
+    def __enter__(self) -> "CompletionEndpoint":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
     def resolved_url(self) -> str:
         url = self.url or os.environ.get(API_URL_ENV)
         if not url:
@@ -137,6 +148,10 @@ class CompletionAPIModel(KnowledgeModel):
         if samples is not None:
             for t in samples:
                 self._samples_by_relation.setdefault(t.relation, KnowledgeGraph()).append(t)
+
+    def close(self) -> None:
+        """Close the endpoint's idle connections."""
+        self.endpoint.close()
 
     def prompt_for(self, tup: KnowledgeTuple) -> str:
         samples = self._samples_by_relation.get(tup.relation)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import logging
+from contextlib import ExitStack
 from dataclasses import dataclass, field, fields
 from typing import Optional, Sequence
 
@@ -132,6 +133,14 @@ def resolve_scorer(config: PipelineConfig, registry: RelationRegistry,
     raise ConfigurationError(f"no scorer for filter mode {config.filter!r}")
 
 
+def closed_with(stack: ExitStack, component):
+    """Return ``component``; ``stack`` closes it on exit if it has a
+    ``close`` method, as the HTTP backend and the external scorer do."""
+    if hasattr(component, "close"):
+        stack.callback(component.close)
+    return component
+
+
 def infer(text: str, config: PipelineConfig | None = None, *,
           registry: RelationRegistry | None = None,
           model: KnowledgeModel | None = None,
@@ -145,7 +154,8 @@ def infer(text: str, config: PipelineConfig | None = None, *,
     instances directly. A matcher model resolved here shares its
     embedding table with the embedding scorer, so one call parses
     ``config.embeddings`` at most once; long-running callers resolve the
-    components once and pass ``matcher_model`` and ``scorer``.
+    components once and pass ``matcher_model`` and ``scorer``. Components
+    resolved here are closed before it returns; passed ones stay open.
     """
     config = config or PipelineConfig()
     registry = registry or default_registry()
@@ -180,30 +190,32 @@ def infer(text: str, config: PipelineConfig | None = None, *,
     if config.dry_run:
         return graph  # tails stay empty; filtering has nothing to judge
 
-    # -- tail generation
-    try:
-        backend = model or resolve_model(config, registry)
-        graph = backend.generate(graph, config.decode)
-    except StageError:
-        raise
-    except Exception as e:
-        raise StageError("generation", e) from e
-
-    # -- relevance filtering
-    if config.filter != "off":
-        if not text.strip():
-            raise StageError("filtering", UsageError(
-                "filtering requires the original text as context"))
+    with ExitStack() as owned:
+        # -- tail generation
         try:
-            active_scorer = scorer or resolve_scorer(config, registry, embeddings)
-            graph, judgments = filter_graph(graph, text, config.threshold,
-                                            active_scorer,
-                                            fail_open=not config.fail_closed)
-            flagged = sum(1 for j in judgments if j.flagged)
-            if flagged:
-                logger.info("%d of %d judgments flagged", flagged, len(judgments))
+            backend = model or closed_with(owned, resolve_model(config, registry))
+            graph = backend.generate(graph, config.decode)
         except StageError:
             raise
         except Exception as e:
-            raise StageError("filtering", e) from e
+            raise StageError("generation", e) from e
+
+        # -- relevance filtering
+        if config.filter != "off":
+            if not text.strip():
+                raise StageError("filtering", UsageError(
+                    "filtering requires the original text as context"))
+            try:
+                active_scorer = scorer or closed_with(
+                    owned, resolve_scorer(config, registry, embeddings))
+                graph, judgments = filter_graph(graph, text, config.threshold,
+                                                active_scorer,
+                                                fail_open=not config.fail_closed)
+                flagged = sum(1 for j in judgments if j.flagged)
+                if flagged:
+                    logger.info("%d of %d judgments flagged", flagged, len(judgments))
+            except StageError:
+                raise
+            except Exception as e:
+                raise StageError("filtering", e) from e
     return graph

@@ -1,6 +1,7 @@
 """Shared fixtures: deterministic embedding tables and a configurable
 in-process HTTP server standing in for remote endpoints, in a one-request
-(HTTP/1.0) and a keep-alive (HTTP/1.1) flavour."""
+(HTTP/1.0), a keep-alive (HTTP/1.1) and a dropping flavour: HTTP/1.1 that
+closes every connection after one response without saying so."""
 
 from __future__ import annotations
 
@@ -73,6 +74,14 @@ class _KeepAliveHandler(_Handler):
         self.server.state["client_ports"].append(self.client_address[1])
 
 
+class _DroppingHandler(_KeepAliveHandler):
+    """Answers one request per connection, with no ``Connection: close``
+    header, then closes the socket: the client finds out when it reuses it."""
+
+    def handle(self):
+        self.handle_one_request()
+
+
 class MockServer:
     def __init__(self, handler=_Handler):
         self.httpd = ThreadingHTTPServer(("127.0.0.1", 0), handler)
@@ -122,5 +131,12 @@ def mock_server():
 @pytest.fixture()
 def keepalive_server():
     server = MockServer(_KeepAliveHandler)
+    yield server
+    server.close()
+
+
+@pytest.fixture()
+def dropping_server():
+    server = MockServer(_DroppingHandler)
     yield server
     server.close()

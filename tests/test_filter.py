@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import pytest
 
@@ -201,7 +202,8 @@ def test_external_scorer_failure_stays_in_its_slot(mock_server):
     mock_server.set_behavior(lambda state, body: (500, {"error": "down"}) if body["head"] == "b"
                              else (200, {"relevance": 0.8}))
     graph = KnowledgeGraph([KnowledgeTuple(h, "r", ["t"]) for h in "abc"])
-    kept, judgments = filter_graph(graph, "ctx", 0.5, ExternalScorer(mock_server.url),
+    kept, judgments = filter_graph(graph, "ctx", 0.5,
+                                   ExternalScorer(mock_server.url, max_in_flight=1),
                                    fail_open=False)
     assert [j.score for j in judgments] == [0.8, None, 0.8]
     assert judgments[1].flagged and "status 500" in judgments[1].note
@@ -228,6 +230,31 @@ def test_tuple_scoring_exactly_the_threshold_is_kept():
     kept, judgments = filter_graph(graph, "alpha", 0.5, FixedScorer())
     assert kept.tuples == graph.tuples
     assert all(j.keep for j in judgments)
+
+
+def test_concurrent_scoring_keeps_tuple_order(mock_server):
+    def early_ones_slowest(state, body):
+        i = int(body["head"][1:])
+        time.sleep(0.02 * max(0, 5 - i))
+        state.setdefault("answered", []).append(i)
+        return 200, {"relevance": i / 10}
+
+    mock_server.set_behavior(early_ones_slowest)
+    graph = KnowledgeGraph([KnowledgeTuple(f"h{i}", "r", ["t"]) for i in range(8)])
+    _, judgments = filter_graph(graph, "ctx", 0.0,
+                                ExternalScorer(mock_server.url, max_in_flight=4))
+    assert [j.score for j in judgments] == [i / 10 for i in range(8)]
+    assert mock_server.httpd.state["answered"] != list(range(8))  # answered out of order
+
+
+def test_rejected_credential_stops_concurrent_scoring(mock_server):
+    mock_server.set_behavior(lambda state, body: (401, {"error": "bad key"})
+                             if len(state["requests"]) > 3 else (200, {"relevance": 0.8}))
+    graph = KnowledgeGraph([KnowledgeTuple(f"h{i}", "r", ["t"]) for i in range(20)])
+    with pytest.raises(CredentialError):
+        filter_graph(graph, "ctx", 0.5, ExternalScorer(mock_server.url, max_in_flight=4))
+    # the first 401 reaches the client while at most 4 requests are in flight
+    assert len(mock_server.requests) <= 3 + 4
 
 
 @pytest.mark.parametrize("status", [401, 403])
